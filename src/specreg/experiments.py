@@ -100,18 +100,26 @@ def _map_rows(fn, items):
         return list(pool.map(fn, items))
 
 
+def _field(path: str, convert, value):
+    """convert(value); a value it rejects is a DomainError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # sweeps and rate models
 
 
 def _validated_levels(values, label: str) -> tuple[float, ...]:
-    arr = np.asarray(values, dtype=float)
+    arr = _field(label, lambda v: np.asarray(v, dtype=float), values)
     if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{label} sweep needs a nonempty 1-d level list")
+        raise DomainError(f"{label} must be a nonempty list of levels")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError(f"{label} levels must be finite and positive")
+        raise DomainError(f"{label} must be finite and positive")
     if np.any(np.diff(arr) >= 0):
-        raise DomainError(f"{label} levels must be strictly decreasing")
+        raise DomainError(f"{label} must be strictly decreasing")
     return tuple(float(v) for v in arr)
 
 
@@ -123,7 +131,7 @@ class DeterministicSweep:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "deltas", _validated_levels(self.deltas, "delta")
+            self, "deltas", _validated_levels(self.deltas, "noise.deltas")
         )
 
     @property
@@ -144,7 +152,7 @@ class WhiteNoiseSweep:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "epsilons", _validated_levels(self.epsilons, "epsilon")
+            self, "epsilons", _validated_levels(self.epsilons, "noise.epsilons")
         )
         if self.replicates < 0:
             raise DomainError("replicates must be >= 0")
@@ -165,12 +173,12 @@ class WhiteNoiseSweep:
 def sweep_from_dict(d: dict):
     kind = d["kind"]
     if kind == "deterministic":
-        return DeterministicSweep(tuple(d["deltas"]))
+        return DeterministicSweep(d["deltas"])
     if kind == "white":
         return WhiteNoiseSweep(
-            tuple(d["epsilons"]),
-            replicates=int(d.get("replicates", 0)),
-            seed=int(d.get("seed", 0)),
+            d["epsilons"],
+            replicates=_field("noise.replicates", int, d.get("replicates", 0)),
+            seed=_field("noise.seed", int, d.get("seed", 0)),
         )
     raise DomainError(f"unknown sweep kind {kind!r}")
 
@@ -213,11 +221,13 @@ def rate_model_from_dict(d: dict):
     kind = d["kind"]
     if kind == "power":
         return PowerLaw(
-            float(d["expected"]), tolerance=float(d.get("tolerance", 0.05))
+            _field("rate_model.expected", float, d["expected"]),
+            tolerance=_field("rate_model.tolerance", float, d.get("tolerance", 0.05)),
         )
     if kind == "log":
         return LogLaw(
-            float(d["beta"]), band_limit=float(d.get("band_limit", 2.0))
+            _field("rate_model.beta", float, d["beta"]),
+            band_limit=_field("rate_model.band_limit", float, d.get("band_limit", 2.0)),
         )
     raise DomainError(f"unknown rate model {kind!r}")
 
@@ -266,7 +276,9 @@ class ExperimentConfig:
         if self.operation not in self._OPERATIONS:
             raise DomainError(f"unknown operation {self.operation!r}")
         if self.alpha_grid is not None:
-            arr = np.asarray(self.alpha_grid, dtype=float)
+            arr = _field(
+                "alpha_grid", lambda v: np.asarray(v, dtype=float), self.alpha_grid
+            )
             if (
                 arr.ndim != 1
                 or arr.size == 0
@@ -318,28 +330,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise DomainError("a config must be a JSON object")
         return cls(
             name=d["name"],
             operation=d["operation"],
-            problem=ProblemDescriptor.from_dict(d["problem"]),
-            method=dict(d["method"]),
-            rule=dict(d.get("rule", {"kind": "oracle"})),
+            problem=_field("problem", ProblemDescriptor.from_dict, d["problem"]),
+            method=_field("method", dict, d["method"]),
+            rule=_field("rule", dict, d.get("rule", {"kind": "oracle"})),
             noise=sweep_from_dict(d["noise"]) if "noise" in d else None,
             rate_model=(
                 rate_model_from_dict(d["rate_model"])
                 if "rate_model" in d
                 else None
             ),
-            alpha_grid=(
-                tuple(d["alpha_grid"]) if "alpha_grid" in d else None
-            ),
-            element=dict(d["element"]) if "element" in d else None,
-            nu=float(d.get("nu", 1.5)),
-            growth_limit=float(d.get("growth_limit", 10.0)),
-            mu=float(d["mu"]) if "mu" in d else None,
-            kappa=dict(d["kappa"]) if "kappa" in d else None,
-            n_probes=int(d.get("n_probes", 10_000)),
-            seed=int(d.get("seed", 0)),
+            alpha_grid=d.get("alpha_grid"),
+            element=_field("element", dict, d["element"]) if "element" in d else None,
+            nu=_field("nu", float, d.get("nu", 1.5)),
+            growth_limit=_field("growth_limit", float, d.get("growth_limit", 10.0)),
+            mu=_field("mu", float, d["mu"]) if "mu" in d else None,
+            kappa=_field("kappa", dict, d["kappa"]) if "kappa" in d else None,
+            n_probes=_field("n_probes", int, d.get("n_probes", 10_000)),
+            seed=_field("seed", int, d.get("seed", 0)),
             out_dir=d.get("out_dir"),
         )
 
@@ -354,7 +366,10 @@ def _resolve_method(spec: dict, op) -> FilterMethod:
     if d.get("method") == "landweber":
         d.setdefault("op_norm_sq", op.norm_tstar_t)
         d.setdefault("mu_step", 0.9 / op.norm_tstar_t)
-    return filter_from_dict(d)
+    try:
+        return filter_from_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"method: {exc}") from None
 
 
 def _resolve_rule(spec: dict, kappa: IndexFunction):
@@ -365,10 +380,12 @@ def _resolve_rule(spec: dict, kappa: IndexFunction):
     if kind == "a_priori":
         return a_priori_rule(kappa), {"kind": "a_priori"}
     if kind == "discrepancy":
-        tau = float(spec.get("tau", 2.0))
+        tau = _field("rule.tau", float, spec.get("tau", 2.0))
+        if not tau > 1:
+            raise DomainError(f"rule.tau must exceed 1, got {tau!r}")
         return discrepancy_rule(tau), {"kind": "discrepancy", "tau": tau}
     if kind == "lepskii":
-        c = float(spec.get("constant", 4.0))
+        c = _field("rule.constant", float, spec.get("constant", 4.0))
         return lepskii_rule(c), {"kind": "lepskii", "constant": c}
     raise DomainError(f"unknown rule kind {kind!r}")
 
@@ -488,7 +505,7 @@ def resolve_element(cfg: ExperimentConfig, op, x_fixture: SpectralElement):
         p = _default_exponent(cfg.problem)
         return x_fixture, _power_tail_norm(kind, f_max, p)
     if spec["kind"] == "coefficient_power":
-        p = float(spec["p"])
+        p = _field("element.p", float, spec["p"])
         coeff = np.maximum(freq, 1.0) ** (-p)
         return (
             x_fixture.with_coefficients(coeff),
@@ -497,7 +514,7 @@ def resolve_element(cfg: ExperimentConfig, op, x_fixture: SpectralElement):
     if spec["kind"] == "range_power":
         # x = (T*T)^s applied to the fixture element; the dropped modes sit
         # below the smallest kept eigenvalue, so lam_min^s scales the tail
-        s = float(spec["s"])
+        s = _field("element.s", float, spec["s"])
         if s <= 0:
             raise DomainError("range_power needs s > 0")
         lam = op.slot_eigenvalues
@@ -1079,7 +1096,7 @@ def run_vsc_certificate(cfg: ExperimentConfig) -> RateReport:
     op, x_fixture, kappa_fixture = cfg.problem.build()
     method = _resolve_method(cfg.method, op)
     kappa = (
-        index_function_from_dict(cfg.kappa)
+        _field("kappa", index_function_from_dict, cfg.kappa)
         if cfg.kappa is not None
         else kappa_fixture
     )

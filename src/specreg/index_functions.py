@@ -10,9 +10,10 @@ interval.  The calculus built on top of it is
 * ``psi_kappa_v``, the variant where the noise weight ``1/sqrt(lam)`` is
   replaced by a general strictly decreasing variance envelope ``v``.
 
-Inverses are computed by bisection on certified brackets; ``PsiProfile``
-caches a log-spaced inversion table so that large probe batches can be
-evaluated vectorized.
+Every inverse is one call of ``roots.bracketed_roots`` on certified
+brackets: Theta^{-1} and ``psi_kappa`` bisect all targets at once on the
+resolvable range of Theta, and ``PsiProfile`` caches a log-spaced table
+that hands each target a one-cell bracket.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
+from .roots import bracketed_roots
 
 __all__ = [
     "IndexFunction",
@@ -316,6 +318,14 @@ def _table_domain(f: IndexFunction) -> float:
     return f.domain_min if isinstance(f, TabulatedIndex) else _LAM_FLOOR
 
 
+def _finite_top(fn, hi: float) -> float:
+    """Top of an inversion bracket: hi shrunk by 8s until fn(hi) is finite."""
+    with np.errstate(over="ignore"):
+        while not math.isfinite(fn(hi)):
+            hi *= 0.125
+    return hi
+
+
 def theta_inverse(f: IndexFunction, y: float, tol: float = 1e-12) -> float:
     """Solve Theta(lam) = y by bisection on a certified bracket.
 
@@ -328,72 +338,25 @@ def theta_inverse(f: IndexFunction, y: float, tol: float = 1e-12) -> float:
     """
     if not y > 0:
         raise OutOfRangeError("inversion target must be positive")
-    hi = min(f.domain_max, 1e280)
-    floor = _table_domain(f)
-    with np.errstate(over="ignore"):
-        while not math.isfinite(theta(f, hi)):
-            hi *= 0.125
-    if y > theta(f, hi) * (1 + tol):
-        raise OutOfRangeError("target above the range of Theta on the domain")
-    lo = hi
-    while theta(f, lo) > y:
-        lo *= 0.25
-        if lo < floor:
-            lo = floor
-            if theta(f, lo) > y * (1 + tol):
-                raise OutOfRangeError("target below the resolvable range")
-            break
-    # log-space bisection: remaining bracket is [lo, hi]; midpoints are
-    # formed from logs, never from lo * hi, which underflows near 1e-300
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(220):
-        mid = math.exp(0.5 * (llo + lhi))
-        val = theta(f, mid)
-        if abs(val - y) <= tol * y:
-            return mid
-        if val > y:
-            lhi = math.log(mid)
-        else:
-            llo = math.log(mid)
-        if lhi - llo <= 1e-16:
-            break
-    return math.exp(0.5 * (llo + lhi))
+    return float(_theta_inverse_bulk(f, np.array([float(y)]), tol)[0])
 
 
 def _theta_inverse_bulk(f: IndexFunction, y: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized ``theta_inverse`` for positive targets.
 
-    Same defect contract as the scalar version: each returned lam
-    satisfies ``|Theta(lam) - y| <= tol * y`` or exhausts the bracket.
+    Every target is bracketed by [floor, top], the resolvable range of
+    Theta; each returned lam satisfies ``|Theta(lam) - y| <= tol * y``
+    or closes its bracket to a few ulps.
     """
-    hi = min(f.domain_max, 1e280)
     floor = _table_domain(f)
-    with np.errstate(over="ignore"):
-        while not math.isfinite(theta(f, hi)):
-            hi *= 0.125
+    hi = _finite_top(lambda t: theta(f, t), min(f.domain_max, 1e280))
     if np.any(y > theta(f, hi) * (1 + tol)):
         raise OutOfRangeError("target above the range of Theta on the domain")
     if np.any(y * (1 + tol) < theta(f, floor)):
         raise OutOfRangeError("target below the resolvable range")
-    llo = np.full(y.shape, math.log(floor))
-    lhi = np.full(y.shape, math.log(hi))
-    res = np.empty_like(y)
-    done = np.zeros(y.shape, dtype=bool)
-    with np.errstate(under="ignore"):
-        for _ in range(220):
-            lmid = 0.5 * (llo + lhi)
-            mid = np.exp(lmid)
-            val = theta(f, mid)
-            hit = (np.abs(val - y) <= tol * y) & ~done
-            res[hit] = mid[hit]
-            done |= hit
-            go_hi = (val > y) & ~done
-            lhi = np.where(go_hi, lmid, lhi)
-            llo = np.where(~go_hi & ~done, lmid, llo)
-            if done.all() or np.all(lhi - llo <= 1e-16):
-                break
-    res[~done] = np.exp(0.5 * (llo + lhi))[~done]
-    return res
+    return bracketed_roots(
+        lambda t: theta(f, t), y, floor, hi, increasing=True, tol=tol
+    )[0]
 
 
 def psi_kappa(f: IndexFunction, t, tol: float = 1e-12):
@@ -429,42 +392,21 @@ def psi_kappa_v(
     if eps_sq < 0:
         raise DomainError("eps_sq must be >= 0")
     eps = math.sqrt(eps_sq)
-    hi = min(f.domain_max, 1e280 if alpha_hi is None else alpha_hi)
     floor = _table_domain(f)
 
     def g(a: float) -> float:
         return float(f(a)) / float(v(a))
 
-    with np.errstate(over="ignore"):
-        while not math.isfinite(g(hi)):
-            hi *= 0.125
+    hi = _finite_top(g, min(f.domain_max, 1e280 if alpha_hi is None else alpha_hi))
     if float(v(hi)) <= 0:
         raise DomainError("v must be positive")
     if g(hi) * (1 + tol) < eps:
         raise OutOfRangeError("target above the range of kappa/v")
-    lo = hi
-    while g(lo) > eps:
-        lo *= 0.25
-        if lo < floor:
-            lo = floor
-            if g(lo) > eps * (1 + tol):
-                raise OutOfRangeError("target below the resolvable range")
-            break
-    if lo < hi and not float(v(lo)) > float(v(hi)):
+    if g(floor) > eps * (1 + tol):
+        raise OutOfRangeError("target below the resolvable range")
+    if floor < hi and not float(v(floor)) > float(v(hi)):
         raise DomainError("v must be strictly decreasing (degenerate envelope)")
-    llo, lhi = math.log(lo), math.log(hi)
-    alpha = math.exp(0.5 * (llo + lhi))
-    for _ in range(220):
-        alpha = math.exp(0.5 * (llo + lhi))
-        val = g(alpha)
-        if abs(val - eps) <= tol * eps:
-            break
-        if val > eps:
-            lhi = math.log(alpha)
-        else:
-            llo = math.log(alpha)
-        if lhi - llo <= 1e-16:
-            break
+    alpha, _ = bracketed_roots(g, eps, floor, hi, increasing=True, tol=tol)
     return float(f(alpha)) ** 2
 
 
@@ -472,9 +414,10 @@ def psi_kappa_v(
 class PsiProfile:
     """Cached evaluator for psi_kappa with a log-spaced inversion table.
 
-    The table only initializes brackets; every evaluation is refined by
-    bisection to ``tolerance``, so cached and direct paths agree to that
-    tolerance.
+    The table only initializes brackets: each target is bisected inside
+    the table cell that holds it, to a few ulps, so cached and direct
+    paths agree to the direct path's tolerance.  ``tolerance`` is the
+    slack allowed at both ends of the cached range.
     """
 
     kappa: IndexFunction
@@ -491,11 +434,8 @@ class PsiProfile:
         size: int = 1024,
         tolerance: float = 1e-12,
     ) -> "PsiProfile":
-        hi = min(kappa.domain_max, 1e280) if lam_max is None else lam_max
-        if lam_max is None:
-            with np.errstate(over="ignore"):
-                while not math.isfinite(float(np.sqrt(hi) * np.asarray(kappa(hi)))):
-                    hi *= 0.125
+        top = min(kappa.domain_max, 1e280)
+        hi = _finite_top(lambda t: theta(kappa, t), top) if lam_max is None else lam_max
         lo = max(_table_domain(kappa), _LAM_FLOOR) if lam_min is None else lam_min
         lam = np.geomspace(lo, hi, size)
         th = np.sqrt(lam) * np.asarray(kappa(lam))
@@ -518,20 +458,11 @@ class PsiProfile:
             if below.size:
                 raise OutOfRangeError("target below the cached Theta range")
         idx = np.clip(np.searchsorted(self.theta_table, y), 1, len(self.lam_table) - 1)
-        # bisect in log space; products of bracket ends underflow near 1e-300
-        llo = np.log(self.lam_table[idx - 1])
-        lhi = np.log(self.lam_table[idx])
-        kap = self.kappa
-        for _ in range(80):
-            mid = np.exp(0.5 * (llo + lhi))
-            val = np.sqrt(mid) * np.asarray(kap(mid))
-            take_hi = val > y
-            lmid = np.log(mid)
-            lhi = np.where(take_hi, lmid, lhi)
-            llo = np.where(take_hi, llo, lmid)
-            if np.all(lhi - llo <= 1e-15):
-                break
-        return np.exp(0.5 * (llo + lhi))
+        lo, hi = self.lam_table[idx - 1], self.lam_table[idx]
+        lam, _ = bracketed_roots(
+            lambda t: theta(self.kappa, t), y, lo, hi, increasing=True
+        )
+        return lam
 
     def eval_many(self, t: np.ndarray, clamp: bool = False) -> np.ndarray:
         """Vectorized psi.  With ``clamp=True`` arguments beyond the certified

@@ -18,7 +18,9 @@ representations; everything stays in sequence space.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .index_functions import (
     PowerIndex,
     TabulatedIndex,
 )
+from .roots import bracketed_roots
 from .spectral import SpectralElement, SpectralOperator
 
 __all__ = [
@@ -238,52 +241,47 @@ def gradiometry(R: float, L: int, beta: float):
     return op, SpectralElement(op, coef), kappa
 
 
-def kappa_from_lambda(lambda_fn, t0: float, alpha: float) -> float:
+def kappa_from_lambda(lambda_fn, t0: float, alpha):
     """Smoothness index read off a decreasing spectral symbol.
 
     Piecewise: 0 at alpha = 0; (lambda_fn^(-1)(alpha))^(-1/2) for
-    alpha in (0, lambda_fn(t0)]; the plateau t0^(-1/2) above.  The
-    inversion brackets by doubling from t0 and bisects in log space.
+    alpha in (0, lambda_fn(t0)]; the plateau t0^(-1/2) above.  ``alpha``
+    may be an array, which ``lambda_fn`` must then map elementwise.  The
+    inversion brackets by doubling from t0 until the symbol falls below
+    every alpha, then bisects all of them at once.
     """
     if t0 <= 0:
         raise DomainError("t0 must be positive")
-    if alpha < 0:
+    arr = np.asarray(alpha, dtype=float)
+    if np.any(arr < 0):
         raise DomainError("alpha must be >= 0")
-    if alpha == 0.0:
-        return 0.0
     top = float(lambda_fn(t0))
-    if alpha >= top:
-        return t0**-0.5
-    lo, hi = t0, 2.0 * t0
-    f_lo = top
-    while float(lambda_fn(hi)) > alpha:
-        f_hi = float(lambda_fn(hi))
-        if f_hi > f_lo:
-            raise DomainError(
-                f"symbol not decreasing on the bracket: "
-                f"lambda({lo:g}) = {f_lo:.6g} < lambda({hi:g}) = {f_hi:.6g}"
-            )
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError("symbol does not fall below alpha")
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = math.exp(0.5 * (llo + lhi))
-        if float(lambda_fn(mid)) > alpha:
-            llo = math.log(mid)
-        else:
-            lhi = math.log(mid)
-        if lhi - llo <= 1e-15:
-            break
-    return math.exp(0.5 * (llo + lhi)) ** -0.5
+    out = np.where(arr > 0, t0**-0.5, 0.0)
+    inside = (arr > 0) & (arr < top)
+    if np.any(inside):
+        lo, hi = t0, 2.0 * t0
+        f_lo = top
+        while float(lambda_fn(hi)) > np.min(arr[inside]):
+            f_hi = float(lambda_fn(hi))
+            if f_hi > f_lo:
+                raise DomainError(
+                    f"symbol not decreasing on the bracket: "
+                    f"lambda({lo:g}) = {f_lo:.6g} < lambda({hi:g}) = {f_hi:.6g}"
+                )
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            if hi > 1e300:
+                raise DomainError("symbol does not fall below alpha")
+        mu, _ = bracketed_roots(lambda_fn, arr, t0, hi, increasing=False)
+        out = np.where(inside, mu**-0.5, out)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _tabulated_kappa(lambda_fn, t0: float, alpha_min: float, size: int = 600):
     """Sampled inversion of a symbol, plateaued above lambda_fn(t0)."""
     top = float(lambda_fn(t0))
     alphas = np.geomspace(alpha_min, top, size)
-    values = np.array([kappa_from_lambda(lambda_fn, t0, a) for a in alphas])
+    values = kappa_from_lambda(lambda_fn, t0, alphas)
     table = TabulatedIndex(np.column_stack([alphas, values]))
     return CappedIndex(table, cap_at=top)
 
@@ -311,6 +309,13 @@ class ProblemDescriptor:
     def __post_init__(self):
         if self.kind not in self._FACTORIES:
             raise DomainError(f"unknown problem kind: {self.kind!r}")
+        names = inspect.signature(self._FACTORIES[self.kind]).parameters
+        odd = sorted(set(self.params) ^ set(names))
+        if odd:
+            raise DomainError(f"params.{odd[0]}: {self.kind} takes {', '.join(names)}")
+        for key, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"params.{key} must be a number, got {value!r}")
         size = next(
             (self.params[k] for k in self._SIZE_KEYS if k in self.params), None
         )

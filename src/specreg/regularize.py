@@ -13,7 +13,7 @@ maximization over a ball.  Its maximizer solves the secular equation
 
 with c_j = d_j b_j, b = r x, g_j = d_max^2 - d_j^2 and theta =
 sigma + d_max^2 the KKT multiplier.  The left side is monotone in sigma,
-which gives a bracketed log-space bisection; when every c_j on the top
+so ``roots.bracketed_roots`` bisects for it; when every c_j on the top
 group vanishes and the remaining mass cannot absorb the full budget the
 multiplier sticks at theta = d_max^2 (hard case) and the leftover noise
 norm is padded onto a top slot.  Evaluations are grouped per eigenvalue
@@ -36,6 +36,7 @@ from .spectral import (
     WhiteNoise,
     noise_generator,
 )
+from .roots import bracketed_roots
 
 __all__ = [
     "apply_regularizer",
@@ -115,42 +116,23 @@ def worst_case_bounds(
     return max(b, p), b + p
 
 
-def _solve_secular(c2, g, delta_sq, max_iter=300):
-    """Root of f(sigma) = sum c2/(sigma+g)^2 = delta_sq with f decreasing.
+def _solve_secular(c, g, delta):
+    """Root of f(sigma) = sum (c/(sigma+g))^2 = delta^2 with f decreasing.
 
-    Requires f(0+) > delta_sq, i.e. either some c2 with g == 0 or enough
-    mass near the top.  Returns sigma > 0.
+    Requires f(0+) > delta^2, i.e. either some c with g == 0 or enough
+    mass near the top.  Returns sigma > 0.  f <= ||c||^2 / sigma^2 bounds
+    the root above by ||c|| / delta; a top group with mass c_top bounds it
+    below by c_top / delta, otherwise the smallest normal double does.
     """
-
-    def f(sigma):
-        return float(np.sum(c2 / (sigma + g) ** 2))
-
-    total = float(np.sum(c2))
-    hi = math.sqrt(total / delta_sq)
-    c2_top = float(np.sum(c2[g == 0.0]))
-    if c2_top > 0.0:
-        lo = math.sqrt(c2_top / delta_sq)
-    else:
-        lo = hi
-        for _ in range(2400):
-            if f(lo) >= delta_sq:
-                break
-            lo *= 0.5
-        else:
-            raise DomainError("secular bracket search failed")
-    if f(hi) > delta_sq:
-        # only possible through rounding at hi; nudge upward
-        hi *= 2.0
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(max_iter):
-        if lhi - llo <= 1e-15:
-            break
-        mid = math.exp(0.5 * (llo + lhi))
-        if f(mid) >= delta_sq:
-            llo = math.log(mid)
-        else:
-            lhi = math.log(mid)
-    return 0.5 * (math.exp(llo) + math.exp(lhi))
+    c_top = float(np.linalg.norm(c[g == 0.0]))
+    sigma, _ = bracketed_roots(
+        lambda s: np.sum((c / (s[..., None] + g)) ** 2, axis=-1),
+        delta * delta,
+        c_top / delta if c_top > 0.0 else np.finfo(float).tiny,
+        float(np.linalg.norm(c)) / delta,
+        increasing=False,
+    )
+    return float(sigma)
 
 
 def worst_case_error(
@@ -185,26 +167,27 @@ def worst_case_error(
             witness=witness,
         )
 
-    b2_level = op.level_sums(b_slot**2)
-    c2_level = d_level**2 * b2_level
+    # level norms of b and c = d b; sums below are of squared ratios, so
+    # no square of theta, sigma or g overflows at tiny alpha
+    b_level = np.sqrt(op.level_sums(b_slot**2))
+    c_level = d_level * b_level
     g_level = d_max**2 - d_level**2
     top = g_level <= 1e-30 * d_max**2
     g_level = np.where(top, 0.0, g_level)
     delta_sq = delta * delta
-    c2_top = float(np.sum(c2_level[top]))
 
     hard = False
-    if c2_top == 0.0:
+    if not np.any(c_level[top]):
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(g_level > 0, c2_level / g_level**2, 0.0)
-        s_lim = float(np.sum(terms))
+            terms = np.where(g_level > 0, c_level / g_level, 0.0)
+        s_lim = float(np.sum(terms**2))
         hard = s_lim <= delta_sq
 
     if hard:
         sigma = 0.0
         pad_sq = delta_sq - s_lim
     else:
-        sigma = _solve_secular(c2_level, g_level, delta_sq)
+        sigma = _solve_secular(c_level, g_level, delta)
         pad_sq = 0.0
 
     theta = sigma + d_max**2
@@ -212,13 +195,10 @@ def worst_case_error(
     if hard:
         # top numerators vanish with the denominator; sum the interior only
         keep = ~top
-        value_sq = theta**2 * float(
-            np.sum(b2_level[keep] / denom[keep] ** 2)
-        )
-        value_sq += d_max**2 * pad_sq
+        value = theta * float(np.linalg.norm(b_level[keep] / denom[keep]))
+        value = math.hypot(value, d_max * math.sqrt(pad_sq))
     else:
-        value_sq = theta**2 * float(np.sum(b2_level / denom**2))
-    value = math.sqrt(value_sq)
+        value = theta * float(np.linalg.norm(b_level / denom))
 
     witness = None
     if want_witness:
@@ -315,10 +295,13 @@ def mse_monte_carlo(
     residual = method.r(alpha, lam) * x.coefficients
     d = noise.epsilon * method.q(alpha, lam) * np.sqrt(lam)
     err_sq = np.empty(n_replicates)
+    # one buffer for every replicate: w becomes residual - d * w in place
+    w = np.empty(op.n_slots)
     for i in range(n_replicates):
-        w = noise_generator(noise, i).standard_normal(op.n_slots)
-        diff = residual - d * w
-        err_sq[i] = float(diff @ diff)
+        noise_generator(noise, i).standard_normal(out=w)
+        np.multiply(d, w, out=w)
+        np.subtract(residual, w, out=w)
+        err_sq[i] = float(w @ w)
     mean = float(np.mean(err_sq))
     se = float(np.std(err_sq, ddof=1) / math.sqrt(n_replicates))
     return MonteCarloEstimate(

@@ -69,11 +69,50 @@ def test_run_refusal_exits_two(tmp_path, capsys):
     assert "refused" in err and "qualification" in err
 
 
-def test_run_bad_config_exits_two(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
+@pytest.mark.parametrize(
+    "over,field",
+    [
+        (None, "bad config"),
+        ({"method": {"method": "landweber", "mu_step": 2}}, "mu_step"),
+        (
+            {"problem": {"kind": "single_layer_circle",
+                         "params": {"N": 2000, "u": 1.0, "w": 3}}},
+            "params.w",
+        ),
+        ({"rule": {"kind": "discrepancy", "tau": 0.5}}, "rule.tau"),
+        (
+            {"problem": {"kind": "single_layer_circle",
+                         "params": {"N": "abc", "u": 1.0}}},
+            "params.N",
+        ),
+        (
+            {"problem": {"kind": "single_layer_circle",
+                         "params": {"N": 2000, "u": "x"}}},
+            "params.u",
+        ),
+        ({"noise": {"kind": "deterministic", "deltas": "abc"}}, "noise.deltas"),
+        ({"element": {"kind": "coefficient_power", "p": "abc"}}, "element.p"),
+        (
+            {"operation": "vsc_certificate", "mu": 0.2, "kappa": {"kind": "nope"}},
+            "kappa",
+        ),
+    ],
+    ids=[
+        "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
+        "element", "kappa",
+    ],
+)
+def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
+    # one line on stderr naming the field, no traceback
+    if over is None:
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+    else:
+        path = write_config(tmp_path, name="run-d", **over)
     assert main(["run", str(path)]) == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert field in err
 
 
 def test_fixtures_list(capsys):

@@ -194,6 +194,21 @@ class TestKappaFromLambda:
             kap = kappa_from_lambda(lam, 0.5, float(alpha))
             assert lam(kap**-2.0) == pytest.approx(float(alpha), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "symbol,t0",
+        [(sideways_heat_lambda, 1.0), (lambda m: gradiometry_lambda(m, 4.0), 2.0)],
+    )
+    def test_array_call_matches_scalar_calls(self, symbol, t0):
+        alphas = np.concatenate(
+            [[0.0], np.geomspace(1e-120, symbol(t0), 300), [1.0]]
+        )
+        got = kappa_from_lambda(symbol, t0, alphas)
+        want = np.array([kappa_from_lambda(symbol, t0, float(a)) for a in alphas])
+        # brackets differ and numpy's array and scalar power kernels round
+        # apart, so values agree to the bisection's 4 eps stopping width
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+        assert got[0] == 0.0 and got[-1] == t0**-0.5
+
     def test_rejects_rising_symbol(self):
         with pytest.raises(DomainError):
             kappa_from_lambda(lambda m: gradiometry_lambda(m, 1.5), 2.0, 1e-12)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specreg.errors import EnvelopeViolationError
-from specreg.filters import catalogue, landweber, tikhonov
+from specreg.experiments import default_alpha_grid
+from specreg.filters import catalogue, landweber, showalter, tikhonov
+from specreg.problems import backward_heat
 from specreg.regularize import (
     ErrorBreakdown,
     apply_regularizer,
@@ -129,11 +131,19 @@ class TestWorstCase:
 
     def test_sandwich_bounds(self):
         x = make_element([1.0, 0.5, 0.02], [1, 3, 1], [0.3, 1.0, -1.0, 0.2, 5.0])
-        for m in catalogue():
-            for delta in [1e-3, 0.3, 20.0]:
-                lb, ub = worst_case_bounds(m, 0.2, x, delta)
-                val = worst_case_error(m, 0.2, x, delta).value
-                assert lb * (1 - 1e-12) <= val <= ub * (1 + 1e-12)
+        cases = [(m, [0.2], x, [1e-3, 0.3, 20.0]) for m in catalogue()]
+        # the default grid reaches alpha ~ 1e-252 here, where theta**2 and
+        # sigma**2 leave the double range
+        heat_op, heat_x, _ = backward_heat(1.0, 30, 1.0)
+        heat_alphas = default_alpha_grid(heat_op, showalter())
+        cases.append((showalter(), heat_alphas, heat_x, [1e-3]))
+        for m, alphas, elem, deltas in cases:
+            for alpha in alphas:
+                for delta in deltas:
+                    lb, ub = worst_case_bounds(m, alpha, elem, delta)
+                    val = worst_case_error(m, alpha, elem, delta).value
+                    assert math.isfinite(val)
+                    assert lb * (1 - 1e-12) <= val <= ub * (1 + 1e-12)
 
     @given(
         st.integers(0, 5),
