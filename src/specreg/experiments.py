@@ -289,9 +289,7 @@ class ExperimentConfig:
                 raise DomainError(
                     "alpha_grid must be positive, finite and strictly increasing"
                 )
-            object.__setattr__(
-                self, "alpha_grid", tuple(float(a) for a in arr)
-            )
+            object.__setattr__(self, "alpha_grid", tuple(float(a) for a in arr))
         if isinstance(self.rate_model, PowerLaw) and self.noise is not None:
             levels = np.asarray(self.noise.levels)
             span = math.log10(levels[0] / levels[-1])

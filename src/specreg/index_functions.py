@@ -55,6 +55,11 @@ class IndexFunction:
     mu: float | None
     growth_p: float | None
 
+    @property
+    def domain_min(self) -> float:
+        """Smallest positive argument the function accepts (0: any)."""
+        return 0.0
+
     def _eval_positive(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -65,6 +70,8 @@ class IndexFunction:
     def _check_domain(self, t: np.ndarray) -> None:
         if np.any(t < 0):
             raise DomainError("index function argument must be >= 0")
+        if np.any((t > 0) & (t < self.domain_min * (1 - 1e-12))):
+            raise DomainError("argument below the tabulated range")
         if np.any(t > self.domain_max * (1 + 1e-12)):
             raise DomainError(
                 f"argument exceeds certified domain_max={self.domain_max!r}"
@@ -195,12 +202,6 @@ class TabulatedIndex(IndexFunction):
     def strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.points[:, 1]) > 0))
 
-    def _check_domain(self, t):
-        super()._check_domain(t)
-        pos = t[t > 0]
-        if pos.size and np.any(pos < self.domain_min * (1 - 1e-12)):
-            raise DomainError("argument below the tabulated range")
-
     def _eval_positive(self, t):
         logt = np.log(np.clip(t, self.domain_min, self.domain_max))
         return np.exp(
@@ -230,6 +231,10 @@ class ComposedIndex(IndexFunction):
         )
         if self.mu is not None or self.growth_p is not None:
             _validate_metadata(self)
+
+    @property
+    def domain_min(self) -> float:
+        return self.base.domain_min / self.arg_scale
 
     @property
     def strictly_increasing(self) -> bool:
@@ -268,6 +273,10 @@ class CappedIndex(IndexFunction):
             raise ValueError("cap_at must lie inside the base domain")
         if self.mu is not None or self.growth_p is not None:
             _validate_metadata(self)
+
+    @property
+    def domain_min(self) -> float:
+        return self.base.domain_min
 
     @property
     def strictly_increasing(self) -> bool:
@@ -314,8 +323,9 @@ def theta(f: IndexFunction, lam):
     return float(vals) if arr.ndim == 0 else vals
 
 
-def _table_domain(f: IndexFunction) -> float:
-    return f.domain_min if isinstance(f, TabulatedIndex) else _LAM_FLOOR
+def _floor(f: IndexFunction) -> float:
+    """Bottom of an inversion bracket: the lowest point f can evaluate."""
+    return max(f.domain_min, _LAM_FLOOR)
 
 
 def _finite_top(fn, hi: float) -> float:
@@ -348,7 +358,7 @@ def _theta_inverse_bulk(f: IndexFunction, y: np.ndarray, tol: float) -> np.ndarr
     Theta; each returned lam satisfies ``|Theta(lam) - y| <= tol * y``
     or closes its bracket to a few ulps.
     """
-    floor = _table_domain(f)
+    floor = _floor(f)
     hi = _finite_top(lambda t: theta(f, t), min(f.domain_max, 1e280))
     if np.any(y > theta(f, hi) * (1 + tol)):
         raise OutOfRangeError("target above the range of Theta on the domain")
@@ -392,7 +402,7 @@ def psi_kappa_v(
     if eps_sq < 0:
         raise DomainError("eps_sq must be >= 0")
     eps = math.sqrt(eps_sq)
-    floor = _table_domain(f)
+    floor = _floor(f)
 
     def g(a: float) -> float:
         return float(f(a)) / float(v(a))
@@ -436,7 +446,7 @@ class PsiProfile:
     ) -> "PsiProfile":
         top = min(kappa.domain_max, 1e280)
         hi = _finite_top(lambda t: theta(kappa, t), top) if lam_max is None else lam_max
-        lo = max(_table_domain(kappa), _LAM_FLOOR) if lam_min is None else lam_min
+        lo = _floor(kappa) if lam_min is None else lam_min
         lam = np.geomspace(lo, hi, size)
         th = np.sqrt(lam) * np.asarray(kappa(lam))
         lam.setflags(write=False)
@@ -453,16 +463,13 @@ class PsiProfile:
         y = np.asarray(y, dtype=float)
         if np.any(y > self.theta_table[-1] * (1 + self.tolerance)):
             raise OutOfRangeError("target above the cached Theta range")
-        if np.any(y < self.theta_table[0] * (1 - self.tolerance)) and np.any(y > 0):
-            below = y[(y > 0) & (y < self.theta_table[0])]
-            if below.size:
-                raise OutOfRangeError("target below the cached Theta range")
+        if np.any((y > 0) & (y < self.theta_table[0] * (1 - self.tolerance))):
+            raise OutOfRangeError("target below the cached Theta range")
         idx = np.clip(np.searchsorted(self.theta_table, y), 1, len(self.lam_table) - 1)
         lo, hi = self.lam_table[idx - 1], self.lam_table[idx]
-        lam, _ = bracketed_roots(
+        return bracketed_roots(
             lambda t: theta(self.kappa, t), y, lo, hi, increasing=True
-        )
-        return lam
+        )[0]
 
     def eval_many(self, t: np.ndarray, clamp: bool = False) -> np.ndarray:
         """Vectorized psi.  With ``clamp=True`` arguments beyond the certified

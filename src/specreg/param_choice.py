@@ -23,7 +23,6 @@ from .regularize import (
     error_breakdown,
     propagation_norm,
     variance_trace,
-    worst_case_bounds,
     worst_case_error,
 )
 from .spectral import (

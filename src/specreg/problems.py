@@ -259,10 +259,8 @@ def kappa_from_lambda(lambda_fn, t0: float, alpha):
     out = np.where(arr > 0, t0**-0.5, 0.0)
     inside = (arr > 0) & (arr < top)
     if np.any(inside):
-        lo, hi = t0, 2.0 * t0
-        f_lo = top
-        while float(lambda_fn(hi)) > np.min(arr[inside]):
-            f_hi = float(lambda_fn(hi))
+        lo, f_lo, hi = t0, top, 2.0 * t0
+        while (f_hi := float(lambda_fn(hi))) > np.min(arr[inside]):
             if f_hi > f_lo:
                 raise DomainError(
                     f"symbol not decreasing on the bracket: "

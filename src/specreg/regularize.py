@@ -126,7 +126,7 @@ def _solve_secular(c, g, delta):
     """
     c_top = float(np.linalg.norm(c[g == 0.0]))
     sigma, _ = bracketed_roots(
-        lambda s: np.sum((c / (s[..., None] + g)) ** 2, axis=-1),
+        lambda s: np.sum((c / (s + g)) ** 2),
         delta * delta,
         c_top / delta if c_top > 0.0 else np.finfo(float).tiny,
         float(np.linalg.norm(c)) / delta,

@@ -20,6 +20,7 @@ from specreg.index_functions import (
     theta,
     theta_inverse,
 )
+from specreg.problems import gradiometry, sideways_heat
 
 
 def power_psi_oracle(nu, t):
@@ -103,6 +104,33 @@ class TestThetaInversion:
         for lam in [1e-20, 1e-8, 1e-2, 0.5]:
             y = theta(f, lam)
             assert theta(f, theta_inverse(f, y)) == pytest.approx(y, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [sideways_heat(64, 1.0)[2], gradiometry(4.0, 24, 1.0)[2]],
+        ids=["sideways_heat", "gradiometry"],
+    )
+    def test_capped_table_stays_inside_its_table(self, kappa):
+        # the fixtures' kappa is CappedIndex(TabulatedIndex): brackets and
+        # midpoints must keep to the table, down to its first sample
+        floor = kappa.domain_min
+        assert floor == kappa.base.domain_min > 0
+        for lam in [floor * (1 + 1e-9), 3 * floor, 1e-3, 0.5]:
+            y = theta(kappa, lam)
+            assert theta(kappa, theta_inverse(kappa, y)) == pytest.approx(y, rel=1e-11)
+        with pytest.raises(OutOfRangeError):
+            theta_inverse(kappa, theta(kappa, floor) * 0.5)
+        t = np.array([theta(kappa, 3 * floor) ** 2, 1e-4])
+        np.testing.assert_allclose(
+            PsiProfile.build(kappa).eval_many(t), psi_kappa(kappa, t), rtol=1e-9
+        )
+        assert psi_kappa_v(kappa, lambda a: a**-0.5, 1e-6) > 0
+
+    def test_wrappers_forward_domain_min(self):
+        table = TabulatedIndex(np.array([[1e-4, 1e-2], [1.0, 1.0]]))
+        assert PowerIndex(0.5).domain_min == 0.0
+        assert CappedIndex(table, cap_at=0.5).domain_min == 1e-4
+        assert ComposedIndex(table, arg_scale=4.0).domain_min == 2.5e-5
 
     def test_out_of_range_rejected(self):
         f = LogPowerIndex(p=1.0, shift=0.0)

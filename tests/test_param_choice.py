@@ -5,7 +5,7 @@ import pytest
 
 from specreg.errors import DomainError
 from specreg.filters import landweber, tikhonov
-from specreg.index_functions import PowerIndex
+from specreg.index_functions import PowerIndex, theta_inverse
 from specreg.param_choice import (
     a_priori_rule,
     choose_a_priori,
@@ -18,6 +18,7 @@ from specreg.param_choice import (
     oracle_rule,
     quasioptimality_ratio,
 )
+from specreg.problems import sideways_heat
 from specreg.regularize import error_breakdown, worst_case_error
 from specreg.spectral import (
     DeterministicNoise,
@@ -65,6 +66,19 @@ class TestAPriori:
         big = choose_a_priori(kappa, 1e6, grid)
         assert big.flag == "clamped_high" and big.index == grid.size - 1
         tiny = choose_a_priori(kappa, 1e-300, grid)
+        assert tiny.flag == "clamped_low" and tiny.index == 0
+
+    def test_capped_table_kappa(self):
+        # sideways heat's kappa is a capped table: a budget inside its range
+        # snaps like any other, one below the table clamps low
+        kappa = sideways_heat(64, 1.0)[2]
+        grid = np.geomspace(1e-4, 1.0, 50)
+        choice = choose_a_priori(kappa, 1e-3, grid)
+        ideal = theta_inverse(kappa, 1e-3)
+        assert choice.flag == "" and choice.index == int(
+            np.argmin(np.abs(np.log(grid / ideal)))
+        )
+        tiny = choose_a_priori(kappa, 1e-12, grid)
         assert tiny.flag == "clamped_low" and tiny.index == 0
 
 
