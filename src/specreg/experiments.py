@@ -786,8 +786,8 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
     notes: list[str] = []
 
     lam = op.slot_eigenvalues
-    bias_arr = np.array([bias(method, a, x) for a in alphas])
-    prop_arr = np.array([propagation_norm(method, a, op) for a in alphas])
+    bias_arr = bias(method, alphas, x)
+    prop_arr = propagation_norm(method, alphas, op)
 
     def oracle_row(delta: float) -> RateRow:
         choice, value = grid_inf_error(
@@ -872,8 +872,8 @@ def run_white_noise_rate(cfg: ExperimentConfig) -> RateReport:
     notes: list[str] = []
 
     lam = op.slot_eigenvalues
-    bias_arr = np.array([bias(method, a, x) for a in alphas])
-    trace_arr = np.array([variance_trace(method, a, op) for a in alphas])
+    bias_arr = bias(method, alphas, x)
+    trace_arr = variance_trace(method, alphas, op)
     sd_arr = np.sqrt(trace_arr)
 
     # precondition: the variance envelope must behave on the grid before
@@ -1017,7 +1017,7 @@ def run_bias_decay(cfg: ExperimentConfig) -> RateReport:
         )
 
     kap_vals = np.asarray(kappa(sweep))
-    bias_arr = np.array([bias(method, a, x) for a in sweep])
+    bias_arr = bias(method, sweep, x)
     ratios = bias_arr / kap_vals
 
     # descending alpha, so "growth across the sweep" reads left to right

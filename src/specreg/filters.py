@@ -102,33 +102,35 @@ class FilterMethod:
     def snaps_to_iteration_grid(self) -> bool:
         return self.name in ("landweber", "lardy")
 
-    def _check_alpha(self, alpha: float) -> None:
-        if not 0 < alpha <= self.alpha_max * (1 + 1e-12):
+    def _arguments(self, alpha, lam) -> tuple[np.ndarray, np.ndarray]:
+        a = np.asarray(alpha, dtype=float)
+        ok = (a > 0) & (a <= self.alpha_max * (1 + 1e-12))
+        if not np.all(ok):
+            bad = float(a[~ok].flat[0])
             raise DomainError(
-                f"alpha={alpha!r} outside (0, alpha_max={self.alpha_max!r}]"
+                f"alpha={bad!r} outside (0, alpha_max={self.alpha_max!r}]"
             )
-
-    def r(self, alpha: float, lam) -> np.ndarray | float:
-        """Residual filter r_alpha(lam); r(0) = 1 for every method."""
-        self._check_alpha(alpha)
         arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
         if np.any(arr < 0):
             raise DomainError("lam must be >= 0")
-        out = _r_dispatch(self, float(alpha), arr)
-        return float(out[0]) if scalar else out
+        return a, arr
 
-    def q(self, alpha: float, lam) -> np.ndarray | float:
-        """Reconstruction filter q_alpha(lam), with the lam -> 0 limit."""
-        self._check_alpha(alpha)
-        arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(arr < 0):
-            raise DomainError("lam must be >= 0")
-        out = _q_dispatch(self, float(alpha), arr)
-        return float(out[0]) if scalar else out
+    def r(self, alpha, lam) -> np.ndarray | float:
+        """Residual filter r_alpha(lam); r(0) = 1 for every method.
+
+        alpha and lam broadcast: a column alpha[:, None] against a row of
+        lam gives the (alpha x lam) table.  Scalars give a float.
+        """
+        out = _r_dispatch(self, *self._arguments(alpha, lam))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def q(self, alpha, lam) -> np.ndarray | float:
+        """Reconstruction filter q_alpha(lam), with the lam -> 0 limit.
+
+        Broadcasts like ``r``.
+        """
+        out = _q_dispatch(self, *self._arguments(alpha, lam))
+        return float(out) if np.ndim(out) == 0 else out
 
     def to_dict(self) -> dict:
         d = {"method": self.name}
@@ -143,15 +145,17 @@ class FilterMethod:
         return d
 
 
-def _landweber_bases(method: FilterMethod, alpha: float, lam: np.ndarray):
+def _landweber_bases(method: FilterMethod, alpha, lam: np.ndarray):
     mu = method.mu_step
     if np.any(mu * lam > 1 + 1e-12):
         raise DomainError("landweber requires mu_step * lam <= 1")
     k = iteration_count(alpha)
-    return k, np.minimum(mu * lam, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # k log(1 - mu lam); -inf at mu lam = 1, nan there on the k = 0 slab
+        return k, k * np.log1p(-np.minimum(mu * lam, 1.0))
 
 
-def _r_dispatch(m: FilterMethod, alpha: float, lam: np.ndarray) -> np.ndarray:
+def _r_dispatch(m: FilterMethod, alpha, lam: np.ndarray) -> np.ndarray:
     if m.name == "tikhonov":
         return alpha / (alpha + lam)
     if m.name == "showalter":
@@ -159,30 +163,22 @@ def _r_dispatch(m: FilterMethod, alpha: float, lam: np.ndarray) -> np.ndarray:
     if m.name == "iterated_tikhonov":
         return np.exp(-m.k * np.log1p(lam / alpha))
     if m.name == "landweber":
-        k, x = _landweber_bases(m, alpha, lam)
-        if k == 0:
-            return np.ones_like(lam)
-        with np.errstate(divide="ignore"):
-            expo = k * np.log1p(-x)
-        return np.exp(expo)
+        k, expo = _landweber_bases(m, alpha, lam)
+        return np.where(k == 0, 1.0, np.exp(expo))
     if m.name == "lardy":
-        k = iteration_count(alpha)
-        return np.exp(-k * np.log1p(lam / m.beta))
+        # k = 0 gives exp(-0) = 1 without a special case
+        return np.exp(-iteration_count(alpha) * np.log1p(lam / m.beta))
     if m.name == "modified_spectral_cutoff":
         return np.maximum(1.0 - lam / (2 * alpha), 0.0)
     raise ValueError(f"unknown method {m.name!r}")
 
 
-def _one_minus_r_over_lam(
-    lam: np.ndarray, one_minus_r: np.ndarray, limit_at_zero: float
-) -> np.ndarray:
-    out = np.full_like(lam, limit_at_zero)
-    pos = lam > 0
-    out[pos] = one_minus_r[pos] / lam[pos]
-    return out
+def _one_minus_r_over_lam(lam: np.ndarray, one_minus_r, limit_at_zero):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam > 0, one_minus_r / lam, limit_at_zero)
 
 
-def _q_dispatch(m: FilterMethod, alpha: float, lam: np.ndarray) -> np.ndarray:
+def _q_dispatch(m: FilterMethod, alpha, lam: np.ndarray) -> np.ndarray:
     # every branch uses q = (1 - r)/lam with an expm1-accurate numerator,
     # so the identity r + lam q = 1 holds to rounding
     if m.name == "tikhonov":
@@ -194,25 +190,19 @@ def _q_dispatch(m: FilterMethod, alpha: float, lam: np.ndarray) -> np.ndarray:
             lam, -np.expm1(-m.k * np.log1p(lam / alpha)), m.k / alpha
         )
     if m.name == "landweber":
-        k, x = _landweber_bases(m, alpha, lam)
-        if k == 0:
-            return np.zeros_like(lam)
-        with np.errstate(divide="ignore"):
-            one_minus_r = -np.expm1(k * np.log1p(-x))
-        return _one_minus_r_over_lam(lam, one_minus_r, m.mu_step * k)
+        k, expo = _landweber_bases(m, alpha, lam)
+        q = _one_minus_r_over_lam(lam, -np.expm1(expo), m.mu_step * k)
+        return np.where(k == 0, 0.0, q)
     if m.name == "lardy":
+        # k = 0 gives (1 - 1)/lam = 0 and the limit 0 without a special case
         k = iteration_count(alpha)
-        if k == 0:
-            return np.zeros_like(lam)
         return _one_minus_r_over_lam(
             lam, -np.expm1(-k * np.log1p(lam / m.beta)), k / m.beta
         )
     if m.name == "modified_spectral_cutoff":
-        out = np.full_like(lam, 1.0 / (2 * alpha))
-        pos = lam > 0
-        with np.errstate(over="ignore"):
-            out[pos] = np.minimum(1.0 / lam[pos], 1.0 / (2 * alpha))
-        return out
+        # 1/lam is inf at lam = 0, where the minimum is the limit 1/(2 alpha)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.minimum(1.0 / lam, 1.0 / (2 * alpha))
     raise ValueError(f"unknown method {m.name!r}")
 
 
@@ -222,6 +212,29 @@ def r_alpha(method: FilterMethod, alpha: float, lam):
 
 def q_alpha(method: FilterMethod, alpha: float, lam):
     return method.q(alpha, lam)
+
+
+# bytes of one (alpha block x lam) double temporary in alpha_table
+_TABLE_BYTES = 256 * 1024
+
+
+def alpha_table(alpha, width: int, row_fn):
+    """One value per alpha from (alpha x lam) tables built in alpha blocks.
+
+    ``row_fn`` maps an alpha column of shape (rows, 1) to one value per
+    row.  Each block's (rows x width) temporaries hold about
+    ``_TABLE_BYTES``, so memory does not grow with the grid.  A scalar
+    alpha is the one-row case and gives a float; a 1-d alpha an array.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim > 1:
+        raise ValueError("alpha must be a scalar or a 1-d array")
+    col = a.reshape(-1, 1)
+    rows = max(1, _TABLE_BYTES // (8 * width))
+    out = np.empty(col.shape[0])
+    for start in range(0, out.size, rows):
+        out[start : start + rows] = row_fn(col[start : start + rows])
+    return float(out[0]) if a.ndim == 0 else out
 
 
 def tikhonov() -> FilterMethod:
@@ -429,11 +442,8 @@ def check_assumption_sr(
     if np.any(alphas > method.alpha_max * (1 + 1e-12)):
         raise DomainError("alpha grid exceeds alpha_max")
 
-    R = np.empty((len(alphas), len(lams)))
-    Q = np.empty_like(R)
-    for i, a in enumerate(alphas):
-        R[i] = method.r(a, lams)
-        Q[i] = method.q(a, lams)
+    R = method.r(alphas[:, None], lams)
+    Q = method.q(alphas[:, None], lams)
 
     # (i) |q| <= C_q / alpha
     scaled = np.abs(Q) * alphas[:, None]
@@ -469,7 +479,7 @@ def check_assumption_sr(
     )
 
     # (iv) c_low <= r_alpha(alpha) <= c_diag on the diagonal
-    diag = np.array([float(np.asarray(method.r(a, np.atleast_1d(a)))[0]) for a in alphas])
+    diag = method.r(alphas, alphas)
     lo, hi = float(diag.min()), float(diag.max())
     bad_low = diag < method.c_low - tol
     bad_high = diag > method.c_diag + tol
@@ -532,9 +542,12 @@ def qualification_constant(
     lams = np.sort(np.asarray(lam_grid, dtype=float))
     kap_l = np.asarray(kappa(lams)) ** nu
     kap_a = np.asarray(kappa(alphas)) ** nu
-    per_alpha = np.empty(len(alphas))
-    for i, a in enumerate(alphas):
-        per_alpha[i] = float(np.max(np.asarray(method.r(a, lams)) * kap_l)) / kap_a[i]
+    per_alpha = (
+        alpha_table(
+            alphas, lams.size, lambda a: np.max(method.r(a, lams) * kap_l, axis=1)
+        )
+        / kap_a
+    )
     value = float(per_alpha.max())
     mid = max(per_alpha[len(per_alpha) // 2], 1e-300)
     diverging = bool(np.argmax(per_alpha) == 0 and per_alpha[0] > 4 * mid)

@@ -124,17 +124,12 @@ def _lepskii_scale(
     method: FilterMethod,
     noise: DeterministicNoise | WhiteNoise,
     data: SpectralElement,
-    a: np.ndarray,
+    alphas: np.ndarray,
 ) -> np.ndarray:
     if isinstance(noise, DeterministicNoise):
-        return noise.delta * np.sqrt(method.c_q / a)
+        return noise.delta * np.sqrt(method.c_q / alphas)
     if isinstance(noise, WhiteNoise):
-        return np.array(
-            [
-                noise.epsilon * math.sqrt(variance_trace(method, ai, data.op))
-                for ai in a
-            ]
-        )
+        return noise.epsilon * np.sqrt(variance_trace(method, alphas, data.op))
     raise TypeError(f"unsupported noise model {type(noise).__name__}")
 
 
@@ -155,7 +150,7 @@ def choose_lepskii(
     a = _ascending(alphas)
     op = data.op
     lam_level = op.eigenvalues
-    y2_level = op.level_sums(data.coefficients**2)
+    y2_level = data.level_mass
     weights = lam_level * y2_level
     scale = constant * _lepskii_scale(method, noise, data, a)
     if not np.all(scale > 0):
@@ -195,18 +190,16 @@ def delta_set(method: FilterMethod, x: SpectralElement, alphas) -> DeltaSetRepor
     """Noise levels delta(alpha) = bias(alpha) / ||R_alpha|| at which each
     grid alpha balances its two error terms, with the largest consecutive
     ratio of the sorted levels as a grid density certificate."""
-    a = _ascending(alphas)
-    deltas = np.empty(a.size)
-    for i, ai in enumerate(a):
-        p = propagation_norm(method, ai, x.op)
-        if p == 0:
-            raise DomainError("propagation norm vanished; grid too coarse")
-        deltas[i] = bias(method, ai, x) / p
+    alphas = _ascending(alphas)
+    prop = propagation_norm(method, alphas, x.op)
+    if np.any(prop == 0):
+        raise DomainError("propagation norm vanished; grid too coarse")
+    deltas = bias(method, alphas, x) / prop
     s = np.sort(deltas)
     if np.any(s <= 0):
         raise DomainError("bias vanished on the grid; delta set degenerate")
     gamma_hat = float(np.max(s[1:] / s[:-1])) if s.size > 1 else 1.0
-    return DeltaSetReport(alphas=a, deltas=deltas, gamma_hat=gamma_hat)
+    return DeltaSetReport(alphas=alphas, deltas=deltas, gamma_hat=gamma_hat)
 
 
 def grid_inf_error(
@@ -224,31 +217,28 @@ def grid_inf_error(
     before solving the exact problem on the survivors.  Returns
     (AlphaChoice, value).
     """
-    a = _ascending(alphas)
+    alphas = _ascending(alphas)
     if isinstance(noise, WhiteNoise):
-        vals = np.array(
-            [error_breakdown(method, ai, x, noise).total for ai in a]
-        )
+        stddev = noise.epsilon * np.sqrt(variance_trace(method, alphas, x.op))
+        vals = np.hypot(bias(method, alphas, x), stddev)
         i = int(np.argmin(vals))
-        return AlphaChoice(float(a[i]), i), float(vals[i])
+        return AlphaChoice(float(alphas[i]), i), float(vals[i])
     if not isinstance(noise, DeterministicNoise):
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
     delta = noise.delta
     if bias_arr is None or prop_arr is None:
-        bias_arr = np.array([bias(method, ai, x) for ai in a])
-        prop_arr = np.array(
-            [propagation_norm(method, ai, x.op) for ai in a]
-        )
+        bias_arr = bias(method, alphas, x)
+        prop_arr = propagation_norm(method, alphas, x.op)
     lb = np.maximum(bias_arr, prop_arr * delta)
     ub = bias_arr + prop_arr * delta
     cutoff = float(np.min(ub))
     candidates = np.nonzero(lb <= cutoff)[0]
     best_i, best_v = -1, math.inf
     for i in candidates:
-        v = worst_case_error(method, float(a[i]), x, delta).value
+        v = worst_case_error(method, float(alphas[i]), x, delta).value
         if v < best_v:
             best_i, best_v = int(i), v
-    return AlphaChoice(float(a[best_i]), best_i), best_v
+    return AlphaChoice(float(alphas[best_i]), best_i), best_v
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,12 +12,20 @@ maximization over a ball.  Its maximizer solves the secular equation
     sum_j c_j^2 / (sigma + g_j)^2 = delta^2,
 
 with c_j = d_j b_j, b = r x, g_j = d_max^2 - d_j^2 and theta =
-sigma + d_max^2 the KKT multiplier.  The left side is monotone in sigma,
-so ``roots.bracketed_roots`` bisects for it; when every c_j on the top
-group vanishes and the remaining mass cannot absorb the full budget the
-multiplier sticks at theta = d_max^2 (hard case) and the leftover noise
-norm is padded onto a top slot.  Evaluations are grouped per eigenvalue
-level, so one secular step costs O(#levels) regardless of multiplicity.
+sigma + d_max^2 the KKT multiplier.  It is solved in the form
+1/sqrt(f(sigma)) = 1/delta, concave and increasing in sigma, by
+safeguarded Newton steps of ``roots.bracketed_roots`` with bisection as
+the fallback; when every c_j on the top group vanishes and the remaining
+mass cannot absorb the full budget the multiplier sticks at theta =
+d_max^2 (hard case) and the leftover noise norm is padded onto a top
+slot.  The worst case works on eigenvalue levels only: r and q are
+evaluated once per level, the level norms of b come from the level sums
+of x^2, and slot vectors are built only for the witness.  One secular
+step therefore costs O(#levels) regardless of multiplicity.
+
+``bias``, ``propagation_norm`` and ``variance_trace`` take a scalar alpha
+or a 1-d alpha grid; a grid is evaluated as (alpha x level) filter
+tables in alpha blocks of fixed byte size.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, EnvelopeViolationError
-from .filters import FilterMethod
+from .filters import FilterMethod, alpha_table
 from .spectral import (
     DeterministicNoise,
     SpectralElement,
@@ -64,26 +72,46 @@ def apply_regularizer(
     return data.with_coefficients(coeff)
 
 
-def bias(method: FilterMethod, alpha: float, x: SpectralElement) -> float:
-    """||r_alpha(T*T) x||, the noise-free reconstruction error."""
-    lam = x.op.slot_eigenvalues
-    return float(np.linalg.norm(method.r(alpha, lam) * x.coefficients))
+def bias(method: FilterMethod, alpha, x: SpectralElement):
+    """||r_alpha(T*T) x||, the noise-free reconstruction error.
+
+    Summed over levels: ||r x||^2 = sum_l r(alpha, lam_l)^2 m_l with m_l
+    the mass of x on level l.  A scalar alpha gives a float, a 1-d alpha
+    grid one value per alpha.
+    """
+    lam, mass = x.op.eigenvalues, x.level_mass
+    return alpha_table(
+        alpha,
+        lam.size,
+        lambda a: np.sqrt(np.sum(method.r(a, lam) ** 2 * mass, axis=1)),
+    )
 
 
-def propagation_norm(
-    method: FilterMethod, alpha: float, op: SpectralOperator
-) -> float:
-    """Operator norm of the reconstruction map R_alpha = q_alpha(T*T) T*."""
-    d = method.q(alpha, op.eigenvalues) * np.sqrt(op.eigenvalues)
-    return float(np.max(np.abs(d))) if d.size else 0.0
+def propagation_norm(method: FilterMethod, alpha, op: SpectralOperator):
+    """Operator norm of the reconstruction map R_alpha = q_alpha(T*T) T*.
+
+    A scalar alpha gives a float, a 1-d alpha grid one value per alpha.
+    """
+    lam = op.eigenvalues
+    root_lam = np.sqrt(lam)
+    return alpha_table(
+        alpha,
+        lam.size,
+        lambda a: np.max(np.abs(method.q(a, lam) * root_lam), axis=1),
+    )
 
 
-def variance_trace(
-    method: FilterMethod, alpha: float, op: SpectralOperator
-) -> float:
-    """trace(R_alpha R_alpha*) = sum over slots of q^2 lam."""
-    d_sq = (method.q(alpha, op.eigenvalues) ** 2) * op.eigenvalues
-    return float(np.sum(op.multiplicities * d_sq))
+def variance_trace(method: FilterMethod, alpha, op: SpectralOperator):
+    """trace(R_alpha R_alpha*) = sum over slots of q^2 lam.
+
+    A scalar alpha gives a float, a 1-d alpha grid one value per alpha.
+    """
+    lam, mult = op.eigenvalues, op.multiplicities
+    return alpha_table(
+        alpha,
+        lam.size,
+        lambda a: np.sum(mult * (method.q(a, lam) ** 2 * lam), axis=1),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +144,13 @@ def worst_case_bounds(
     return max(b, p), b + p
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a nonnegative vector, its squares scaled so that
+    they neither overflow nor underflow."""
+    top = float(np.max(v, initial=0.0))
+    return top * math.sqrt(np.sum((v / top) ** 2)) if top > 0.0 else 0.0
+
+
 def _solve_secular(c, g, delta):
     """Root of f(sigma) = sum (c/(sigma+g))^2 = delta^2 with f decreasing.
 
@@ -123,15 +158,43 @@ def _solve_secular(c, g, delta):
     mass near the top.  Returns sigma > 0.  f <= ||c||^2 / sigma^2 bounds
     the root above by ||c|| / delta; a top group with mass c_top bounds it
     below by c_top / delta, otherwise the smallest normal double does.
+    The equation is solved as phi(sigma) = 1/sqrt(f(sigma)) = 1/delta:
+    phi is increasing and concave (Hebden 1973; More & Sorensen 1983), so
+    Newton steps from the lower bracket end rise monotonically to the
+    root, with phi' = f^{-3/2} sum c^2/(sigma+g)^3.
     """
-    c_top = float(np.linalg.norm(c[g == 0.0]))
-    sigma, _ = bracketed_roots(
-        lambda s: np.sum((c / (s + g)) ** 2),
-        delta * delta,
-        c_top / delta if c_top > 0.0 else np.finfo(float).tiny,
-        float(np.linalg.norm(c)) / delta,
-        increasing=False,
-    )
+    c_top = _norm(c[g == 0.0])
+
+    # phi and its slope are taken at each trial point in turn; both read
+    # 1/(s+g), (c/(s+g))^2 and f of the last point
+    last = [None, None, None, None]
+
+    def terms(s):
+        if last[0] is not s:
+            inv = 1.0 / (s + g)
+            u_sq = np.square(c * inv)
+            last[:] = s, inv, u_sq, u_sq.sum()
+        return last[1:]
+
+    def phi(s):
+        return 1.0 / np.sqrt(terms(s)[2])
+
+    def phi_slope(s):
+        inv, u_sq, f = terms(s)
+        return (u_sq * inv).sum() / (f * np.sqrt(f))
+
+    # an overflowing f reads as phi = 0, far below the root; its slope (0
+    # or nan) gives no Newton point inside the bracket, so the midpoint
+    # is tried next
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma, _ = bracketed_roots(
+            phi,
+            1.0 / delta,
+            c_top / delta if c_top > 0.0 else np.finfo(float).tiny,
+            _norm(c) / delta,
+            increasing=True,
+            slope=phi_slope,
+        )
     return float(sigma)
 
 
@@ -145,13 +208,15 @@ def worst_case_error(
     """Exact sup of ||x_hat - x|| over noise with ||eta|| <= delta."""
     op = x.op
     lam_level = op.eigenvalues
-    lam_slot = op.slot_eigenvalues
-    r_slot = method.r(alpha, lam_slot)
-    b_slot = r_slot * x.coefficients
+    r_level = method.r(alpha, lam_level)
     d_level = np.abs(method.q(alpha, lam_level)) * np.sqrt(lam_level)
-    d_slot = np.repeat(d_level, op.multiplicities)
-    bias_val = float(np.linalg.norm(b_slot))
-    d_max = float(np.max(d_level)) if d_level.size else 0.0
+    # squared level norms of b = r x; as in a sum of squared slot values,
+    # a b whose square underflows reads zero, so such a top group takes the
+    # hard-case branch below
+    b_sq = r_level**2 * x.level_mass
+    b_level = np.sqrt(b_sq)
+    bias_val = math.sqrt(np.sum(b_sq))
+    d_max = float(np.max(d_level))
 
     if delta < 0:
         raise DomainError("delta must be nonnegative")
@@ -167,9 +232,8 @@ def worst_case_error(
             witness=witness,
         )
 
-    # level norms of b and c = d b; sums below are of squared ratios, so
-    # no square of theta, sigma or g overflows at tiny alpha
-    b_level = np.sqrt(op.level_sums(b_slot**2))
+    # level norms of c = d b; sums below are of squared ratios, so no
+    # square of theta, sigma or g overflows at tiny alpha
     c_level = d_level * b_level
     g_level = d_max**2 - d_level**2
     top = g_level <= 1e-30 * d_max**2
@@ -192,23 +256,25 @@ def worst_case_error(
 
     theta = sigma + d_max**2
     denom = sigma + g_level
+    # top numerators vanish with the denominator in the hard case; sum the
+    # interior only
+    keep = ~top if hard else slice(None)
+    value = theta * _norm(b_level[keep] / denom[keep])
     if hard:
-        # top numerators vanish with the denominator; sum the interior only
-        keep = ~top
-        value = theta * float(np.linalg.norm(b_level[keep] / denom[keep]))
         value = math.hypot(value, d_max * math.sqrt(pad_sq))
-    else:
-        value = theta * float(np.linalg.norm(b_level / denom))
 
     witness = None
     if want_witness:
-        denom_slot = sigma + np.repeat(g_level, op.multiplicities)
+        mult = op.multiplicities
+        b_slot = np.repeat(r_level, mult) * x.coefficients
+        d_slot = np.repeat(d_level, mult)
+        denom_slot = sigma + np.repeat(g_level, mult)
         eta = np.zeros(op.n_slots)
         nz = denom_slot > 0
         eta[nz] = -d_slot[nz] * b_slot[nz] / denom_slot[nz]
         if hard:
             # b vanishes on the top group; drop the leftover budget there
-            top_slots = np.repeat(top, op.multiplicities)
+            top_slots = np.repeat(top, mult)
             eta[np.argmax(top_slots)] = math.sqrt(pad_sq)
         witness = x.with_coefficients(eta)
 
@@ -342,12 +408,10 @@ def certify_variance_envelope(
     max_factor is given, exceeding it raises EnvelopeViolationError.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
-    ratios = np.empty(alphas.size)
-    for i, a in enumerate(alphas):
-        v = float(envelope(a))
-        if not v > 0:
-            raise DomainError("envelope must be positive on the grid")
-        ratios[i] = math.sqrt(variance_trace(method, a, op)) / v
+    env = np.array([float(envelope(a)) for a in alphas])
+    if not np.all(env > 0):
+        raise DomainError("envelope must be positive on the grid")
+    ratios = np.sqrt(variance_trace(method, alphas, op)) / env
     c_lower = float(np.min(ratios))
     c_upper = float(np.max(ratios))
     if c_lower <= 0:

@@ -144,6 +144,13 @@ class SpectralElement:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
+    @cached_property
+    def level_mass(self) -> np.ndarray:
+        """Squared norm of the coefficients on each eigenvalue level."""
+        out = self.op.level_sums(self.coefficients**2)
+        out.setflags(write=False)
+        return out
+
     def with_coefficients(self, coef: np.ndarray) -> "SpectralElement":
         return SpectralElement(self.op, coef)
 
@@ -194,8 +201,7 @@ def xtk_norm(x: SpectralElement, kappa: IndexFunction) -> float:
     when kappa vanishes at the bottom eigenvalue while mass remains there.
     """
     eig = x.op.eigenvalues
-    level_mass = x.op.level_sums(x.coefficients**2)
-    tail = np.sqrt(np.cumsum(level_mass[::-1]))[::-1]  # ||E_{lam_j} x||
+    tail = np.sqrt(np.cumsum(x.level_mass[::-1]))[::-1]  # ||E_{lam_j} x||
     kap = np.asarray(kappa(eig))
     if np.any((kap == 0) & (tail > 0)):
         return float("inf")

@@ -221,7 +221,7 @@ def _truncation_floor(
     (3/2) ||E_lam x_true||^2 - A psi(||T E_lam x_true||^2); the floor is
     the largest A at which some truncation reaches zero residual.
     """
-    sq = op.level_sums(x_true.coefficients**2)
+    sq = x_true.level_mass
     tail = np.cumsum(sq[::-1])[::-1]  # ||E_lam x||^2, eigenvalues descending
     image = np.cumsum((op.eigenvalues * sq)[::-1])[::-1]
     keep = image > 0

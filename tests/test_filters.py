@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -200,3 +201,51 @@ class TestQualification:
             lam_grid=np.geomspace(1e-9, 1.0, 300),
         )
         assert not rep.diverging
+
+
+EPS = np.finfo(float).eps
+
+# the catalogue plus landweber and lardy widened to alpha_max = 4, so the
+# grid below reaches the k = 0 slab alpha > 1
+TABLE_METHODS = catalogue() + [
+    dataclasses.replace(landweber(mu_step=0.9), alpha_max=4.0),
+    dataclasses.replace(lardy(beta=1.0), alpha_max=4.0),
+]
+
+
+def _table_id(m):
+    return f"{m.name}-to-{m.alpha_max:g}"
+
+
+class TestAlphaColumn:
+    @pytest.mark.parametrize("m", TABLE_METHODS, ids=_table_id)
+    def test_table_matches_scalar_calls(self, m):
+        alphas = np.geomspace(1e-6, min(m.alpha_max, 4.0), 23)
+        # lam = 0 limits, and mu lam = 1 where landweber's log1p is -inf
+        lams = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 18), [1.0 / 0.9]])
+        if m.alpha_max == 4.0:
+            assert np.any(iteration_count(alphas) == 0)
+        tables = {"r": m.r(alphas[:, None], lams), "q": m.q(alphas[:, None], lams)}
+        for name, table in tables.items():
+            assert table.shape == (alphas.size, lams.size)
+            for i, a in enumerate(alphas):
+                for j, lam in enumerate(lams):
+                    one = getattr(m, name)(float(a), float(lam))
+                    assert isinstance(one, float)
+                    assert table[i, j] == pytest.approx(one, rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("m", TABLE_METHODS[-2:], ids=_table_id)
+    def test_k_zero_slab_next_to_k_two(self, m):
+        # alpha = 2 runs no iteration: r = 1, q = 0, even at mu lam = 1
+        lams = np.array([0.0, 0.5, 1.0 / 0.9])
+        r = m.r(np.array([[2.0], [0.5]]), lams)
+        q = m.q(np.array([[2.0], [0.5]]), lams)
+        np.testing.assert_array_equal(r[0], 1.0)
+        np.testing.assert_array_equal(q[0], 0.0)
+        assert r[1, 0] == 1.0 and np.all(r[1, 1:] < 1.0)
+        assert np.all(q[1] > 0.0)
+
+    def test_out_of_range_alpha_in_a_column_is_named(self):
+        m = landweber(mu_step=0.9)
+        with pytest.raises(DomainError, match="alpha=1.5"):
+            m.r(np.array([[0.1], [1.5]]), [0.2])

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from specreg.errors import EnvelopeViolationError
 from specreg.experiments import default_alpha_grid
+from specreg import filters
 from specreg.filters import catalogue, landweber, showalter, tikhonov
-from specreg.problems import backward_heat
+from specreg.problems import backward_heat, single_layer_circle
 from specreg.regularize import (
     ErrorBreakdown,
     apply_regularizer,
@@ -324,3 +325,58 @@ class TestEnvelope:
                 np.geomspace(1e-3, 1e-2, 10),
                 max_factor=1.01,
             )
+
+
+EPS = np.finfo(float).eps
+
+
+class TestAlphaTables:
+    """One call over an alpha grid equals the scalar calls, and both equal
+    the per-slot formulas the tables replaced."""
+
+    @pytest.fixture(scope="class")
+    def circle(self):
+        op, x, _ = single_layer_circle(10_000, 1.0)
+        return op, x
+
+    @pytest.mark.parametrize("idx", range(6), ids=lambda i: catalogue()[i].name)
+    def test_grid_call_matches_scalar_calls(self, circle, idx):
+        op, x = circle
+        m = catalogue(op.norm_tstar_t)[idx]
+        alphas = np.geomspace(1e-7, min(m.alpha_max, 1.0) * 0.999, 15)
+        # 5001 levels give 6 rows per block, so 15 alphas cross two block
+        # boundaries
+        assert alphas.size > filters._TABLE_BYTES // (8 * op.eigenvalues.size)
+        lam_slot = op.slot_eigenvalues
+        grids = {
+            "bias": bias(m, alphas, x),
+            "propagation": propagation_norm(m, alphas, op),
+            "trace": variance_trace(m, alphas, op),
+        }
+        for i, a in enumerate(alphas):
+            a = float(a)
+            scalar = {
+                "bias": bias(m, a, x),
+                "propagation": propagation_norm(m, a, op),
+                "trace": variance_trace(m, a, op),
+            }
+            d_slot = m.q(a, lam_slot) * np.sqrt(lam_slot)
+            per_slot = {
+                "bias": np.linalg.norm(m.r(a, lam_slot) * x.coefficients),
+                "propagation": np.max(np.abs(d_slot)),
+                "trace": np.sum(d_slot**2),
+            }
+            for key, grid in grids.items():
+                assert isinstance(scalar[key], float)
+                assert grid[i] == pytest.approx(scalar[key], rel=4 * EPS, abs=0.0)
+                assert grid[i] == pytest.approx(per_slot[key], rel=1e-12, abs=0.0)
+
+    def test_empty_grid_gives_empty_tables(self, circle):
+        op, x = circle
+        assert bias(tikhonov(), np.array([]), x).shape == (0,)
+        assert variance_trace(tikhonov(), np.array([]), op).shape == (0,)
+
+    def test_rejects_a_two_dimensional_grid(self, circle):
+        op, _ = circle
+        with pytest.raises(ValueError):
+            propagation_norm(tikhonov(), np.ones((2, 2)), op)

@@ -5,11 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specreg import roots
+from specreg import regularize, roots
 from specreg.errors import DomainError
+from specreg.experiments import (
+    DeterministicSweep,
+    ExperimentConfig,
+    PowerLaw,
+    default_alpha_grid,
+    run_deterministic_rate,
+)
+from specreg.filters import showalter
+from specreg.problems import ProblemDescriptor, backward_heat
 from specreg.roots import bracketed_roots
 
 DECADES = st.floats(-300.0, 300.0)
+EPS = np.finfo(float).eps
 
 
 def _monotone(increasing):
@@ -62,5 +72,149 @@ def test_rejects_brackets_that_are_not_positive_and_finite(lo, hi):
 
 def test_reports_a_bracket_left_open_at_the_cap(monkeypatch):
     monkeypatch.setattr(roots, "MAX_STEPS", 5)
-    with pytest.raises(DomainError, match="still open after 5 halvings"):
+    with pytest.raises(DomainError, match="still open after 5 steps"):
         bracketed_roots(np.sqrt, 3.0, 1e-300, 1e300, increasing=True)
+
+
+# sqrt is concave and increasing through the origin like the secular
+# function phi; -sqrt mirrors it to a decreasing function
+_NEWTON = {
+    True: (np.sqrt, lambda x: 0.5 / np.sqrt(x)),
+    False: (lambda x: -np.sqrt(x), lambda x: -0.5 / np.sqrt(x)),
+}
+
+
+@given(DECADES, DECADES, st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_newton_steps_converge_inside_and_agree_with_bisection(a, b, frac, increasing):
+    lo, hi = 10.0 ** min(a, b), 10.0 ** max(a, b)
+    root = min(max(lo ** (1.0 - frac) * hi**frac, lo), hi)
+    fn, slope = _NEWTON[increasing]
+    target = fn(root)
+    got, steps = bracketed_roots(
+        fn, target, lo, hi, increasing=increasing, slope=slope
+    )
+    halved, _ = bracketed_roots(fn, target, lo, hi, increasing=increasing)
+    assert steps <= roots.MAX_STEPS
+    assert lo <= got <= hi
+    assert abs(got - halved) <= 4 * EPS * halved
+
+
+def test_newton_point_outside_the_bracket_falls_back_to_the_midpoint():
+    # from lo = 1e-6 the Newton point of a convex, nearly flat start lies
+    # far beyond hi; the midpoint keeps the search inside
+    fn = lambda x: x**4
+    got, steps = bracketed_roots(
+        fn, 1.0, 1e-6, 3.0, increasing=True, slope=lambda x: 4 * x**3
+    )
+    assert got == pytest.approx(1.0, rel=1e-15)
+    assert steps < roots.MAX_STEPS
+
+
+def test_an_infinite_slope_proves_nothing():
+    # every Newton step is zero; only midpoints can close the bracket
+    got, steps = bracketed_roots(
+        np.sqrt, 1.5, 1.0, 16.0, increasing=True, slope=lambda x: np.inf
+    )
+    assert got == pytest.approx(2.25, rel=1e-15)
+    assert steps > 2
+
+
+
+def _bisected_secular(c, g, delta):
+    """Root of sum (c/(s+g))^2 = delta^2 by plain bisection."""
+    with np.errstate(over="ignore"):
+        sigma, _ = bracketed_roots(
+            lambda s: np.sum((c / (s + g)) ** 2),
+            delta * delta,
+            math.hypot(*c[g == 0.0]) / delta or np.finfo(float).tiny,
+            math.hypot(*c) / delta,
+            increasing=False,
+        )
+    return float(sigma)
+
+
+def _assert_same_root(c, g, delta):
+    """Newton and bisection agree to 4 eps per unit of the root's condition
+    number f / (sigma |f'|), the ulps sigma moves per ulp of f."""
+    got = regularize._solve_secular(c, g, delta)
+    want = _bisected_secular(c, g, delta)
+    w = (c / (want + g)) ** 2
+    cond = float(np.sum(w) / (2 * np.sum(w * want / (want + g))))
+    assert abs(got - want) <= 4 * EPS * (1 + cond) * want
+
+
+def _secular_terms(method, alpha, x):
+    """(c, g) of the worst case at alpha, grouped per level."""
+    lam = x.op.eigenvalues
+    d = np.abs(method.q(alpha, lam)) * np.sqrt(lam)
+    c = d * np.abs(method.r(alpha, lam)) * np.sqrt(x.level_mass)
+    g = d.max() ** 2 - d**2
+    return c, np.where(g <= 1e-30 * d.max() ** 2, 0.0, g)
+
+
+def _solvable(c, g, delta):
+    """Not the hard case: f(0+) exceeds delta^2."""
+    if np.any(c[g == 0.0]):
+        return True
+    inner = g > 0
+    return float(np.sum((c[inner] / g[inner]) ** 2)) > delta * delta
+
+
+def test_secular_newton_matches_bisection_on_random_problems():
+    rng = np.random.default_rng(11)
+    solved = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        c = 10.0 ** rng.uniform(-8, 2, n)
+        g = np.sort(10.0 ** rng.uniform(-10, 3, n))
+        if rng.uniform() < 0.7:
+            g[0] = 0.0
+        delta = 10.0 ** rng.uniform(-12, 1)
+        if not _solvable(c, g, delta):
+            continue
+        _assert_same_root(c, g, delta)
+        solved += 1
+    assert solved > 300
+
+
+def test_secular_newton_matches_bisection_on_heat_spectra():
+    # 30 levels whose propagation factors span hundreds of decades at
+    # small alpha, with the smallest budget of the log-band sweeps
+    op, x, _ = backward_heat(1.0, 30, 1.0)
+    m = showalter()
+    delta = 1e-12
+    solved = 0
+    for alpha in default_alpha_grid(op, m)[::20]:
+        c, g = _secular_terms(m, alpha, x)
+        if not _solvable(c, g, delta):
+            continue
+        _assert_same_root(c, g, delta)
+        solved += 1
+    assert solved > 100
+
+
+def test_circle_oracle_rows_solve_in_few_newton_steps(monkeypatch):
+    steps = []
+
+    def counting(*args, **kwargs):
+        root, n = bracketed_roots(*args, **kwargs)
+        steps.append(n)
+        return root, n
+
+    monkeypatch.setattr(regularize, "bracketed_roots", counting)
+    for method in ("tikhonov", "landweber"):
+        run_deterministic_rate(
+            ExperimentConfig(
+                name="newton-steps",
+                operation="deterministic_rate",
+                problem=ProblemDescriptor(
+                    "single_layer_circle", {"N": 10_000, "u": 1.0}
+                ),
+                method={"method": method},
+                noise=DeterministicSweep((1e-1, 1e-2, 1e-3, 1e-4)),
+                rate_model=PowerLaw(0.5),
+            )
+        )
+    assert len(steps) > 100
+    assert max(steps) <= 8
