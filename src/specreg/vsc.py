@@ -32,8 +32,9 @@ three adversarial probe families and reports the worst residual found.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -212,6 +213,21 @@ def vsc_residual(
     return 2.0 * inner - 0.5 * h_norm_sq - profile.psi(image_sq)
 
 
+def _truncation_sums(
+    x_true: SpectralElement, op: SpectralOperator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``||E_lam x_true||^2`` and ``||T E_lam x_true||^2`` at every eigenvalue.
+
+    Both in the descending eigenvalue order of ``op``: the squared norm
+    and image norm of the part that the truncation (I - E_lam) x_true
+    removes.
+    """
+    sq = x_true.level_mass
+    tail = np.cumsum(sq[::-1])[::-1]
+    image = np.cumsum((op.eigenvalues * sq)[::-1])[::-1]
+    return tail, image
+
+
 def _truncation_floor(
     x_true: SpectralElement, op: SpectralOperator, psi_profile: PsiProfile
 ) -> float:
@@ -221,9 +237,7 @@ def _truncation_floor(
     (3/2) ||E_lam x_true||^2 - A psi(||T E_lam x_true||^2); the floor is
     the largest A at which some truncation reaches zero residual.
     """
-    sq = x_true.level_mass
-    tail = np.cumsum(sq[::-1])[::-1]  # ||E_lam x||^2, eigenvalues descending
-    image = np.cumsum((op.eigenvalues * sq)[::-1])[::-1]
+    tail, image = _truncation_sums(x_true, op)
     keep = image > 0
     if not np.any(keep):
         return 0.0
@@ -366,18 +380,113 @@ class FalsificationReport:
         }
 
 
-def _batch_residuals(
+# bytes of one (probe block x slots) double temporary in the Gaussian family
+_PROBE_BYTES = 256 * 1024
+
+
+# residuals of a probe family and the witness probe of one of its rows
+_Family = tuple[np.ndarray, Callable[[int], np.ndarray]]
+
+
+def _truncation_family(
+    x_true: SpectralElement, op: SpectralOperator, profile: VscProfile, n: int
+) -> _Family:
+    """Residuals of the truncations (I - E_lam) x_true at the first n
+    eigenvalues, and the witness of a row.
+
+    The probe x = (I - E_lam) x_true has h = x_true - x = E_lam x_true,
+    so its residual is 2 tail - tail/2 - psi(image) with the tail sums
+    of :func:`_truncation_sums`: O(levels), no probe vectors.
+    """
+    tail, image = _truncation_sums(x_true, op)
+    res = 1.5 * tail[:n] - profile.psi(image[:n])
+
+    def witness(i: int) -> np.ndarray:
+        out = x_true.coefficients.copy()
+        out[op.slot_offsets[i] :] = 0.0  # zero the slots with lam_j <= lam_i
+        return out
+
+    return res, witness
+
+
+def _gaussian_family(
     x_true: SpectralElement,
     op: SpectralOperator,
     profile: VscProfile,
-    perturbations: np.ndarray,
-) -> np.ndarray:
-    """Residuals for probes x_true + row, vectorized over rows."""
+    rng: np.random.Generator,
+    radii: np.ndarray,
+) -> _Family:
+    """Residuals of the probes x_true + p with Gaussian directions p of
+    norms ``radii``, and the witness of a row.
+
+    The directions are drawn from ``rng`` in blocks of about
+    ``_PROBE_BYTES``; a block keeps only <p, x_true>, ||p||^2 and
+    ||T p||^2 per probe and the generator state it started from, and
+    psi is evaluated once for the whole family.  A witness redraws its
+    block from the saved state and leaves ``rng`` as it found it.
+    """
+    coef = x_true.coefficients
+    lam = op.slot_eigenvalues
+    n = len(radii)
+    rows = max(1, _PROBE_BYTES // (8 * len(coef)))
+    inner = np.empty(n)
+    norms_sq = np.empty(n)
+    image_sq = np.empty(n)
+    states = []
+
+    def draw(start: int) -> np.ndarray:
+        p = rng.standard_normal((min(rows, n - start), len(coef)))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        p *= radii[start : start + len(p), None]
+        return p
+
+    for start in range(0, n, rows):
+        states.append(rng.bit_generator.state)
+        p = draw(start)
+        block = slice(start, start + len(p))
+        inner[block] = p @ coef
+        norms_sq[block] = np.einsum("ij,ij->i", p, p)
+        image_sq[block] = p**2 @ lam
     # probe x = x_true + p means h = x_true - x = -p
-    inner = perturbations @ x_true.coefficients
-    norms_sq = np.einsum("ij,ij->i", perturbations, perturbations)
-    image_sq = perturbations**2 @ op.slot_eigenvalues
-    return -2.0 * inner - 0.5 * norms_sq - profile.psi(image_sq)
+    res = -2.0 * inner - 0.5 * norms_sq - profile.psi(image_sq)
+
+    def witness(i: int) -> np.ndarray:
+        after = rng.bit_generator.state
+        rng.bit_generator.state = states[i // rows]
+        p = draw(i - i % rows)
+        rng.bit_generator.state = after
+        return coef + p[i % rows]
+
+    return res, witness
+
+
+def _spike_family(
+    x_true: SpectralElement,
+    op: SpectralOperator,
+    profile: VscProfile,
+    slots: np.ndarray,
+    values: np.ndarray,
+) -> _Family:
+    """Residuals of the spikes x_true + v e_s for slots s and values v,
+    and the witness of a row.
+
+    With h = -v e_s the residual is -2 v c_s - v^2/2 - psi(lam_s v^2),
+    O(1) per probe.
+    """
+    coef = x_true.coefficients
+    sq = values * values
+    res = (
+        -2.0 * (values * coef[slots])
+        - 0.5 * sq
+        - profile.psi(sq * op.slot_eigenvalues[slots])
+    )
+
+    def witness(i: int) -> np.ndarray:
+        out = coef.copy()
+        out[slots[i]] += values[i]
+        return out
+
+    return res, witness
 
 
 def vsc_falsify(
@@ -399,69 +508,50 @@ def vsc_falsify(
     (c) single-coordinate spikes at the same scales.  Returns the worst
     (most positive) residual, its witness, and a pass verdict against a
     rounding tolerance.
+
+    Truncation residuals come from level sums and spike residuals in
+    closed form; Gaussian probes are drawn in fixed-size blocks and
+    reduced to three numbers each.  Time is O(levels + probes * slots)
+    and memory O(slots + probes): no probes x slots array is formed, and
+    only the winning witness is built.
     """
     _check_same_layout(x_true, op)
-    lam = op.slot_eigenvalues
-    coef = x_true.coefficients
     norm_x = x_true.norm()
     if scales is None:
         scales = np.geomspace(1e-3, 10.0, 8)
     if tol is None:
         tol = 1e-10 * (1.0 + norm_x**2)
 
-    worst = -math.inf
-    worst_family = "gaussian"
-    witness: np.ndarray | None = None
-    used = 0
-
-    def consider(res: np.ndarray, probes: np.ndarray, family: str) -> None:
-        nonlocal worst, worst_family, witness
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst = float(res[i])
-            worst_family = family
-            witness = probes[i].copy()
-
-    # (a) truncations at every distinct eigenvalue
-    offsets = op.slot_offsets
     n_trunc = min(len(op.eigenvalues), n_probes)
-    trunc = np.repeat(coef[None, :], n_trunc, axis=0)
-    for row in range(n_trunc):
-        trunc[row, offsets[row] :] = 0.0  # zero the slots with lam_j <= lam_row
-    res = _batch_residuals(x_true, op, profile, trunc - coef[None, :])
-    consider(res, trunc, "truncation")
-    used += n_trunc
+    families = [("truncation", *_truncation_family(x_true, op, profile, n_trunc))]
+    used = n_trunc
 
     if norm_x > 0 and used < n_probes:
         rng = np.random.default_rng(seed)
+        n_slots = op.n_slots
         remaining = n_probes - used
-        n_spike = min(remaining // 4, 2 * len(coef) * len(scales))
+        n_spike = min(remaining // 4, 2 * n_slots * len(scales))
         n_gauss = remaining - n_spike
 
-        # (b) Gaussian perturbations in blocks, norms cycled over scales
-        block = 2048
-        done = 0
-        while done < n_gauss:
-            m = min(block, n_gauss - done)
-            p = rng.standard_normal((m, len(coef)))
-            p /= np.linalg.norm(p, axis=1, keepdims=True)
-            radii = scales[(done + np.arange(m)) % len(scales)] * norm_x
-            p *= radii[:, None]
-            res = _batch_residuals(x_true, op, profile, p)
-            consider(res, coef[None, :] + p, "gaussian")
-            done += m
-        used += n_gauss
+        # (b) Gaussian perturbations, norms cycled over scales
+        radii = scales[np.arange(n_gauss) % len(scales)] * norm_x
+        families.append(("gaussian", *_gaussian_family(x_true, op, profile, rng, radii)))
 
         # (c) coordinate spikes x_true +/- t e_j
-        slots = rng.integers(0, len(coef), size=n_spike)
+        slots = rng.integers(0, n_slots, size=n_spike)
         signs = np.where(rng.integers(0, 2, size=n_spike) == 0, -1.0, 1.0)
         radii = scales[np.arange(n_spike) % len(scales)] * norm_x
-        p = np.zeros((n_spike, len(coef)))
-        p[np.arange(n_spike), slots] = signs * radii
-        if n_spike:
-            res = _batch_residuals(x_true, op, profile, p)
-            consider(res, coef[None, :] + p, "spike")
-        used += n_spike
+        families.append(("spike", *_spike_family(x_true, op, profile, slots, signs * radii)))
+        used += n_gauss + n_spike
+
+    # the first probe of the largest residual, in family order
+    worst, worst_family, winner = -math.inf, "gaussian", None
+    for family, res, witness_of in families:
+        if res.size and res.max() > worst:
+            i = int(np.argmax(res))
+            worst, worst_family = float(res[i]), family
+            winner = functools.partial(witness_of, i)
+    witness = None if winner is None else winner()
 
     return FalsificationReport(
         n_probes=used,

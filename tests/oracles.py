@@ -1,7 +1,8 @@
 """Brute-force reference maximizers used to cross-check analytic solvers.
 
 Kept independent of the package internals: the worst-case oracle never
-forms the secular equation, it climbs the sphere directly.
+forms the secular equation, it climbs the sphere directly, and the
+falsification references form every probe vector explicitly.
 """
 
 import numpy as np
@@ -72,3 +73,69 @@ def brute_force_worst_case(
         if val > best:
             best = val
     return best
+
+
+def dense_vsc_residuals(coef, slot_lam, psi, probes):
+    """VSC residuals of explicit probe rows for the exact solution ``coef``.
+
+    Each row x of ``probes`` gets 2 <c, c - x> - 1/2 ||c - x||^2
+    - psi(||T (c - x)||^2), from dense products over all slots.
+    """
+    p = probes - coef[None, :]  # h = c - x = -p
+    inner = p @ coef
+    norms_sq = np.einsum("ij,ij->i", p, p)
+    image_sq = p**2 @ slot_lam
+    return -2.0 * inner - 0.5 * norms_sq - psi(image_sq)
+
+
+def dense_truncations(coef, slot_offsets, n):
+    """Rows (I - E_lam) c for the first n levels: slots from the level's
+    offset on are zeroed."""
+    rows = np.repeat(np.asarray(coef, dtype=float)[None, :], n, axis=0)
+    for row in range(n):
+        rows[row, slot_offsets[row]:] = 0.0
+    return rows
+
+
+def dense_gaussians(coef, rng, radii):
+    """Rows c + p: Gaussian directions drawn from rng as one
+    (probes x slots) matrix, scaled to the norms ``radii``."""
+    p = rng.standard_normal((len(radii), len(coef)))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    p *= radii[:, None]
+    return coef[None, :] + p
+
+
+def dense_spikes(coef, slots, values):
+    """Rows c + v e_s, one per (slot s, value v)."""
+    rows = np.repeat(np.asarray(coef, dtype=float)[None, :], len(slots), axis=0)
+    rows[np.arange(len(slots)), slots] += values
+    return rows
+
+
+def dense_falsify_probes(coef, slot_offsets, n_probes, seed, scales):
+    """The probes of the three falsification families as explicit matrices.
+
+    One truncation per level (at most ``n_probes``); then, from
+    ``default_rng(seed)``, Gaussian directions with norms cycled over
+    ``scales * ||c||``, and spikes of the same norms with random slots
+    and signs, a quarter of the remaining probes at most.  Returns a
+    dict from family name to its (rows x slots) probe matrix.
+    """
+    coef = np.asarray(coef, dtype=float)
+    n_trunc = min(len(slot_offsets), n_probes)
+    out = {"truncation": dense_truncations(coef, slot_offsets, n_trunc)}
+    norm_c = float(np.linalg.norm(coef))
+    if norm_c == 0.0 or n_trunc >= n_probes:
+        return out
+    rng = np.random.default_rng(seed)
+    remaining = n_probes - n_trunc
+    n_spike = min(remaining // 4, 2 * coef.size * len(scales))
+    n_gauss = remaining - n_spike
+    radii = scales[np.arange(n_gauss) % len(scales)] * norm_c
+    out["gaussian"] = dense_gaussians(coef, rng, radii)
+    slots = rng.integers(0, coef.size, size=n_spike)
+    signs = np.where(rng.integers(0, 2, size=n_spike) == 0, -1.0, 1.0)
+    radii = scales[np.arange(n_spike) % len(scales)] * norm_c
+    out["spike"] = dense_spikes(coef, slots, signs * radii)
+    return out

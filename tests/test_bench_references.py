@@ -1,14 +1,17 @@
-"""The det_oracle benchmark configs still give their committed outcomes.
+"""The det_oracle and vsc_cert benchmark configs still give their
+committed outcomes.
 
 The benchmark checks every run against perfbench/references; this test
 runs the same configs for input seed 0 through the same check, so a
-changed oracle pick or verdict shows up in the test suite first.  It
-only reads the benchmark's files.
+changed oracle pick, VSC verdict or residual shows up in the test suite
+first.  It only reads the benchmark's files.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from specreg import cli
 
@@ -26,11 +29,12 @@ def _load(name: str, monkeypatch):
     return module
 
 
-def test_det_oracle_matches_its_references(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["det_oracle", "vsc_cert"])
+def test_matches_its_references(workload, tmp_path, monkeypatch):
     harness = _load("harness", monkeypatch)
     workloads = _load("workloads", monkeypatch)
-    reference = harness.reference("det_oracle", 0)
-    paths = workloads.WORKLOADS["det_oracle"].write_configs(tmp_path, 0)
+    reference = harness.reference(workload, 0)
+    paths = workloads.WORKLOADS[workload].write_configs(tmp_path, 0)
     assert sorted(p.stem for p in paths) == sorted(reference)
     for path in paths:
         got = harness.outcome(path, harness.run_config(cli, path))

@@ -228,6 +228,27 @@ class TestStructure:
         rep = check_structure(f, np.geomspace(1e-4, 1.0, 40))
         assert not rep.kk_concave
 
+    @pytest.mark.parametrize("kind", ["power", "logpower", "tabulated"])
+    def test_growth_is_the_largest_pairwise_slope(self, kind):
+        # growth_p_hat is defined as the largest log-log slope over all
+        # pairs of grid points; the pairwise maximum is formed here
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            if kind == "power":
+                f, lo, hi = PowerIndex(rng.uniform(0.05, 1.0)), -12.0, 0.0
+            elif kind == "logpower":
+                f, lo, hi = LogPowerIndex(rng.uniform(0.2, 2.0)), -12.0, -0.5
+            else:
+                t = np.geomspace(1e-10, 1.0, 40)
+                v = np.cumsum(rng.uniform(0.1, 1.0, t.size)) * t**0.3
+                f, lo, hi = TabulatedIndex(np.column_stack([t, v])), -10.0, 0.0
+            grid = np.unique(10.0 ** rng.uniform(lo, hi, rng.integers(3, 200)))
+            logv, logt = np.log(np.asarray(f(grid))), np.log(grid)
+            i, j = np.triu_indices(grid.size, k=1)
+            pairwise = np.max((logv[j] - logv[i]) / (logt[j] - logt[i]))
+            got = check_structure(f, grid).growth_p_hat
+            assert got == pytest.approx(pairwise, rel=1e-12)
+
     def test_no_admissible_mu(self):
         # kappa = t^0.5: kappa^2/t^(1-mu) = t^mu increasing for all mu > 0
         rep = check_structure(PowerIndex(0.5), np.geomspace(1e-6, 1.0, 50))

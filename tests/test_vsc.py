@@ -2,16 +2,31 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import (
+    dense_falsify_probes,
+    dense_gaussians,
+    dense_spikes,
+    dense_truncations,
+    dense_vsc_residuals,
+)
 
+from specreg import vsc
 from specreg.errors import DomainError
 from specreg.index_functions import (
     LogPowerIndex,
     PowerIndex,
     PsiProfile,
     psi_kappa,
+)
+from specreg.problems import (
+    backward_heat,
+    backward_heat_decay_index,
+    single_layer_circle,
+    sobolev_scale,
 )
 from specreg.spectral import SpectralElement, SpectralOperator, spectral_distribution, xtk_norm
 from specreg.vsc import (
@@ -329,6 +344,131 @@ class TestFalsification:
         d = report.to_dict()
         assert set(d) == {"n_probes", "worst_residual", "worst_family", "witness", "tol", "passed"}
         assert isinstance(d["witness"], list)
+
+
+def family_fixture(name):
+    """A small fixture and its decay-certified profile."""
+    if name == "sobolev":
+        op, x, kappa = sobolev_scale(60, 1.0, 0.5)
+        return op, x, decay_to_vsc(x, op, kappa, 0.2)
+    if name == "heat":  # multiplicity 2 and a zero mode
+        op, x, _ = backward_heat(1.0, 12, 1.0)
+        return op, x, decay_to_vsc(x, op, backward_heat_decay_index(1.0), 1.0 / 3.0)
+    op, x, kappa = single_layer_circle(40, 0.5)
+    return op, x, decay_to_vsc(x, op, kappa, 0.2)
+
+
+def two_slot_fixture():
+    """One level of multiplicity 2 and a near-zero psi: with probes of
+    twice the norm, truncations reach 1.5 ||x||^2 and spikes 1.2 ||x||^2,
+    while Gaussian directions within 28 degrees of -x exceed 1.5 ||x||^2."""
+    op = SpectralOperator.from_levels([1.0], [2])
+    x = SpectralElement(op, np.array([0.6, 0.8]))
+    kappa = PowerIndex(0.25)
+    return op, x, VscProfile(A=1e-9, kappa=kappa, psi_profile=PsiProfile.build(kappa))
+
+
+FAMILY_FIXTURES = ["sobolev", "heat", "circle"]
+
+
+def small_blocks(monkeypatch, n_slots, rows=7):
+    """Gaussian blocks of ``rows`` probes, so a family spans many blocks."""
+    monkeypatch.setattr(vsc, "_PROBE_BYTES", 8 * n_slots * rows)
+
+
+class TestFamilyResiduals:
+    """Each probe family against its dense form (explicit probe rows)."""
+
+    @pytest.mark.parametrize("name", FAMILY_FIXTURES)
+    def test_truncation(self, name):
+        op, x, profile = family_fixture(name)
+        coef, n = x.coefficients, len(op.eigenvalues)
+        res, witness = vsc._truncation_family(x, op, profile, n)
+        rows = dense_truncations(coef, op.slot_offsets, n)
+        dense = dense_vsc_residuals(coef, op.slot_eigenvalues, profile.psi, rows)
+        np.testing.assert_allclose(res, dense, rtol=1e-12, atol=0)
+        for i in range(n):
+            np.testing.assert_array_equal(witness(i), rows[i])
+
+    @pytest.mark.parametrize("name", FAMILY_FIXTURES)
+    def test_gaussian(self, name, monkeypatch):
+        op, x, profile = family_fixture(name)
+        small_blocks(monkeypatch, op.n_slots)
+        coef = x.coefficients
+        radii = np.geomspace(1e-3, 10.0, 8)[np.arange(500) % 8] * x.norm()
+        rng = np.random.default_rng(4)
+        res, witness = vsc._gaussian_family(x, op, profile, rng, radii)
+        rows = dense_gaussians(coef, np.random.default_rng(4), radii)
+        dense = dense_vsc_residuals(coef, op.slot_eigenvalues, profile.psi, rows)
+        np.testing.assert_allclose(res, dense, rtol=1e-12, atol=0)
+        after = rng.bit_generator.state
+        # first and last rows of blocks, the winner, and the short last block
+        for i in [0, 6, 7, 13, 250, int(np.argmax(res)), 497, 499]:
+            np.testing.assert_allclose(witness(i), rows[i], rtol=1e-12, atol=0)
+            assert rng.bit_generator.state == after
+
+    @pytest.mark.parametrize("name", FAMILY_FIXTURES)
+    def test_spike(self, name):
+        op, x, profile = family_fixture(name)
+        coef = x.coefficients
+        rng = np.random.default_rng(5)
+        slots = rng.integers(0, op.n_slots, size=300)
+        values = rng.choice([-1.0, 1.0], 300) * np.geomspace(1e-3, 10.0, 300) * x.norm()
+        res, witness = vsc._spike_family(x, op, profile, slots, values)
+        rows = dense_spikes(coef, slots, values)
+        dense = dense_vsc_residuals(coef, op.slot_eigenvalues, profile.psi, rows)
+        np.testing.assert_allclose(res, dense, rtol=1e-12, atol=0)
+        for i in range(0, 300, 7):
+            np.testing.assert_array_equal(witness(i), rows[i])
+
+    @pytest.mark.parametrize(
+        "case", FAMILY_FIXTURES + ["halved-floor", "two-slot"]
+    )
+    def test_falsify_matches_dense_probes(self, case, monkeypatch):
+        scales = np.geomspace(1e-3, 10.0, 8)
+        if case == "two-slot":
+            op, x, profile = two_slot_fixture()
+            scales = np.array([2.0])
+        elif case == "halved-floor":
+            op, x, profile = family_fixture("sobolev")
+            profile = dataclasses.replace(profile, A=profile.family_a_floor / 2)
+        else:
+            op, x, profile = family_fixture(case)
+        small_blocks(monkeypatch, op.n_slots)
+        n_probes = len(op.eigenvalues) + 400
+        report = vsc_falsify(x, op, profile, n_probes=n_probes, seed=3, scales=scales)
+
+        coef = x.coefficients
+        probes = dense_falsify_probes(coef, op.slot_offsets, n_probes, 3, scales)
+        best = -math.inf
+        for family, rows in probes.items():
+            res = dense_vsc_residuals(coef, op.slot_eigenvalues, profile.psi, rows)
+            i = int(np.argmax(res))
+            if res[i] > best:
+                best, best_family, best_row = res[i], family, rows[i]
+        assert report.n_probes == sum(len(rows) for rows in probes.values())
+        assert report.worst_family == best_family
+        assert report.worst_residual == pytest.approx(best, rel=1e-12, abs=0)
+        np.testing.assert_allclose(report.witness, best_row, rtol=1e-12, atol=0)
+        expected = {"halved-floor": "truncation", "two-slot": "gaussian"}
+        assert best_family == expected.get(case, "spike")
+
+
+class TestLinearMemory:
+    def test_certify_and_falsify_twenty_thousand_slots(self):
+        # 20k truncations, then Gaussian and spike probes: a G x G
+        # structure check or a probes x slots matrix would need gigabytes
+        op, x, kappa = sobolev_scale(20_000, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            profile = decay_to_vsc(x, op, kappa, 0.5)
+            report = vsc_falsify(x, op, profile, n_probes=22_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_probes == 22_000
+        assert report.passed, (report.worst_residual, report.worst_family)
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestProfileSerialization:
