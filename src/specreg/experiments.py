@@ -56,7 +56,7 @@ from .param_choice import (
     grid_inf_error,
     lepskii_rule,
 )
-from .problems import ProblemDescriptor
+from .problems import Fixture, ProblemDescriptor
 from .regularize import (
     bias,
     error_breakdown,
@@ -66,7 +66,6 @@ from .regularize import (
 )
 from .spectral import (
     DeterministicNoise,
-    SpectralElement,
     WhiteNoise,
     add_noise,
     xtk_norm,
@@ -426,101 +425,48 @@ def _resolve_alphas(cfg: ExperimentConfig, op, method: FilterMethod):
 # ---------------------------------------------------------------------------
 # elements and truncation tails
 
-# slot frequency layouts must mirror the factories in problems.py; the
-# override tests pin this by reproducing fixture coefficients exactly
-_PER_FREQ_MULT = {
-    "single_layer_circle": 2.0,
-    "sobolev_scale": 1.0,
-    "backward_heat": 2.0,
-    "sideways_heat": 1.0,
-    "gradiometry": 3.0,  # 2l + 1 <= 3l for l >= 1
-}
 
+def resolve_element(cfg: ExperimentConfig, fixture: Fixture):
+    """Apply the optional element override to the fixture's solution;
+    returns (element, tail_norm).
 
-def _slot_frequencies(kind: str, op) -> np.ndarray:
-    mults = op.multiplicities
-    n_levels = len(op.eigenvalues)
-    if kind == "single_layer_circle":
-        parts = [np.array([0.0, 1.0, 1.0])]
-        parts += [np.full(2, i + 1.0) for i in range(1, n_levels)]
-        freq = np.concatenate(parts)
-    elif kind in ("sobolev_scale", "sideways_heat"):
-        freq = np.arange(1, n_levels + 1, dtype=float)
-    elif kind == "backward_heat":
-        parts = [np.array([0.0])]
-        parts += [np.full(2, float(i)) for i in range(1, n_levels)]
-        freq = np.concatenate(parts)
-    elif kind == "gradiometry":
-        freq = np.repeat(np.arange(n_levels, dtype=float), mults)
-    else:
-        raise DomainError(f"no frequency layout for kind {kind!r}")
-    if freq.size != op.n_slots:
-        raise DomainError("frequency layout out of step with the operator")
-    return freq
-
-
-def _default_exponent(descriptor: ProblemDescriptor) -> float:
-    p = descriptor.params
-    kind = descriptor.kind
-    if kind in ("single_layer_circle", "sobolev_scale"):
-        return float(p["u"]) + 0.5
-    if kind in ("backward_heat", "sideways_heat"):
-        return 2.0 * float(p["beta"]) + 0.5
-    if kind == "gradiometry":
-        return 2.0 * float(p["beta"]) + 1.0
-    raise DomainError(f"no coefficient law for kind {kind!r}")
-
-
-def _power_tail_norm(kind: str, f_max: float, p: float) -> float:
-    """Upper bound on the l2 norm of coefficients (1 v f)^-p beyond f_max.
-
-    Integral comparison: sum_{f > F} f^-2p <= F^(1-2p) / (2p - 1).  The
-    gradiometry layout carries multiplicity 2l + 1 <= 3l, costing one
-    power, hence the stricter exponent requirement there.
-    """
-    w = _PER_FREQ_MULT[kind]
-    if kind == "gradiometry":
-        if p <= 1.0:
-            raise DomainError("gradiometry tail needs exponent > 1")
-        return math.sqrt(w * f_max ** (2.0 - 2.0 * p) / (2.0 * p - 2.0))
-    if p <= 0.5:
-        raise DomainError("coefficient exponent must exceed 1/2")
-    return math.sqrt(w * f_max ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
-
-
-def resolve_element(cfg: ExperimentConfig, op, x_fixture: SpectralElement):
-    """Apply the optional element override; returns (element, tail_norm).
-
+    ``coefficient_power`` rebuilds the coefficients (1 v f)^(-p) over the
+    fixture's slot frequencies, so p equal to the fixture exponent gives
+    back the fixture itself; ``range_power`` applies (T*T)^s to it.
     ``tail_norm`` bounds the l2 mass of the coefficient family beyond the
     fixture truncation, the quantity the 1% row audit compares against
     the total error.
     """
-    kind = cfg.problem.kind
-    freq = _slot_frequencies(kind, op)
-    f_max = float(freq.max())
     spec = cfg.element
     if spec is None:
-        p = _default_exponent(cfg.problem)
-        return x_fixture, _power_tail_norm(kind, f_max, p)
+        return fixture.x, fixture.tail_norm()
     if spec["kind"] == "coefficient_power":
         p = _field("element.p", float, spec["p"])
-        coeff = np.maximum(freq, 1.0) ** (-p)
-        return (
-            x_fixture.with_coefficients(coeff),
-            _power_tail_norm(kind, f_max, p),
-        )
+        return fixture.element(p), fixture.tail_norm(p)
     if spec["kind"] == "range_power":
         # x = (T*T)^s applied to the fixture element; the dropped modes sit
         # below the smallest kept eigenvalue, so lam_min^s scales the tail
         s = _field("element.s", float, spec["s"])
         if s <= 0:
             raise DomainError("range_power needs s > 0")
-        lam = op.slot_eigenvalues
-        coeff = x_fixture.coefficients * lam**s
-        base_tail = _power_tail_norm(kind, f_max, _default_exponent(cfg.problem))
+        op = fixture.op
+        coeff = fixture.x.coefficients * op.slot_eigenvalues**s
         lam_min = float(op.eigenvalues[-1])
-        return x_fixture.with_coefficients(coeff), base_tail * lam_min**s
+        return fixture.x.with_coefficients(coeff), fixture.tail_norm() * lam_min**s
     raise DomainError(f"unknown element override {spec['kind']!r}")
+
+
+def _resolve_problem(cfg: ExperimentConfig):
+    """Build the configured fixture; returns (op, kappa, element, tail_norm).
+
+    The fixture itself is not kept: holding its slot-sized label array
+    through a circle N=10k oracle sweep left glibc trimming the heap top
+    under the solves' temporaries, 10k-28k extra minor page faults per
+    run.
+    """
+    fixture = cfg.problem.build()
+    x, tail = resolve_element(cfg, fixture)
+    return fixture.op, fixture.kappa, x, tail
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +724,10 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
         raise DomainError("deterministic_rate needs a deterministic sweep")
     if cfg.rate_model is None:
         raise DomainError("deterministic_rate needs a rate model")
-    op, x_fixture, kappa = cfg.problem.build()
+    op, kappa, x, tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
     rule, rule_echo = _resolve_rule(cfg.rule, kappa)
     alphas = _resolve_alphas(cfg, op, method)
-    x, tail = resolve_element(cfg, op, x_fixture)
     notes: list[str] = []
 
     lam = op.slot_eigenvalues
@@ -864,11 +809,10 @@ def run_white_noise_rate(cfg: ExperimentConfig) -> RateReport:
         raise DomainError("white_noise_rate needs a white noise sweep")
     if cfg.rate_model is None:
         raise DomainError("white_noise_rate needs a rate model")
-    op, x_fixture, kappa = cfg.problem.build()
+    op, kappa, x, tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
     rule, rule_echo = _resolve_rule(cfg.rule, kappa)
     alphas = _resolve_alphas(cfg, op, method)
-    x, tail = resolve_element(cfg, op, x_fixture)
     notes: list[str] = []
 
     lam = op.slot_eigenvalues
@@ -995,10 +939,9 @@ def run_bias_decay(cfg: ExperimentConfig) -> RateReport:
     """
     if cfg.nu <= 1:
         raise DomainError("bias decay needs nu > 1")
-    op, x_fixture, kappa = cfg.problem.build()
+    op, kappa, x, tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
     alphas = _resolve_alphas(cfg, op, method)
-    x, tail = resolve_element(cfg, op, x_fixture)
 
     dm = kappa.domain_max * (1 - 1e-12)
     sweep = alphas[alphas <= dm]
@@ -1091,16 +1034,12 @@ def run_vsc_certificate(cfg: ExperimentConfig) -> RateReport:
     report and the certificate is marked failed, since diagnosing an
     inadmissible index is a legitimate outcome of the run.
     """
-    op, x_fixture, kappa_fixture = cfg.problem.build()
+    op, kappa, x, _tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
-    kappa = (
-        _field("kappa", index_function_from_dict, cfg.kappa)
-        if cfg.kappa is not None
-        else kappa_fixture
-    )
+    if cfg.kappa is not None:
+        kappa = _field("kappa", index_function_from_dict, cfg.kappa)
     if cfg.mu is None:
         raise DomainError("vsc_certificate needs mu in (0, 1)")
-    x, _tail = resolve_element(cfg, op, x_fixture)
     config = _resolved_config(
         cfg, op, method, {"kind": "none"}, np.array([])
     )

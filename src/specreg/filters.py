@@ -50,8 +50,6 @@ __all__ = [
     "modified_spectral_cutoff",
     "filter_from_dict",
     "iteration_count",
-    "r_alpha",
-    "q_alpha",
     "check_assumption_sr",
     "AssumptionReport",
     "CheckResult",
@@ -206,16 +204,11 @@ def _q_dispatch(m: FilterMethod, alpha, lam: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown method {m.name!r}")
 
 
-def r_alpha(method: FilterMethod, alpha: float, lam):
-    return method.r(alpha, lam)
-
-
-def q_alpha(method: FilterMethod, alpha: float, lam):
-    return method.q(alpha, lam)
-
-
-# bytes of one (alpha block x lam) double temporary in alpha_table
-_TABLE_BYTES = 256 * 1024
+# bytes of one (alpha block x lam) double temporary in alpha_table; below
+# glibc's 128 KB mmap threshold, so a block's temporaries reuse heap
+# memory (at 256 KB a circle N=10k oracle run took 16k-59k minor page
+# faults per benchmark cycle, depending on allocation history)
+_TABLE_BYTES = 64 * 1024
 
 
 def alpha_table(alpha, width: int, row_fn):

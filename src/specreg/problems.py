@@ -1,12 +1,13 @@
 """Benchmark problem factories.
 
-Each factory returns a triple ``(op, x_true, kappa)``: the diagonalized
-forward operator, a solution fixture, and the index function that
-describes the fixture's smoothness relative to the operator.  Solution
-fixtures are borderline elements: their coefficients are tuned so the
-decay norm under kappa is finite while any strictly stronger power or
-log norm diverges, which makes them the informative probes for rate and
-converse checks.
+Each factory returns a :class:`Fixture`: the diagonalized forward
+operator, a solution fixture, the index function that describes the
+fixture's smoothness relative to the operator, and the slot layout the
+fixture's coefficients are built from.  Solution fixtures are borderline
+elements: their coefficients (1 v f)^(-p) over the slot frequencies f
+are tuned so the decay norm under kappa is finite while any strictly
+stronger power or log norm diverges, which makes them the informative
+probes for rate and converse checks.
 
 The sideways-heat problem has continuous spectrum on the line; its
 fixture discretizes the frequency axis and is a model surrogate, so
@@ -37,6 +38,7 @@ from .roots import bracketed_roots
 from .spectral import SpectralElement, SpectralOperator
 
 __all__ = [
+    "Fixture",
     "ProblemDescriptor",
     "single_layer_circle",
     "sobolev_scale",
@@ -55,7 +57,61 @@ __all__ = [
 _EIGENVALUE_FLOOR = 1e-280
 
 
-def single_layer_circle(N: int, u: float):
+@dataclasses.dataclass(frozen=True, eq=False)
+class Fixture:
+    """A test problem with its borderline solution and slot layout.
+
+    ``frequencies`` labels every slot of ``op``; the solution ``x`` has
+    coefficients (1 v f)^(-exponent).  Frequency f carries at most
+    ``mult_weight * f**mult_degree`` slots, the multiplicity law the
+    truncation tail bound sums over.
+    """
+
+    op: SpectralOperator
+    kappa: IndexFunction
+    frequencies: np.ndarray
+    exponent: float
+    mult_weight: int
+    mult_degree: int
+    x: SpectralElement = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        freq = np.asarray(self.frequencies, dtype=float).copy()
+        freq.setflags(write=False)
+        object.__setattr__(self, "frequencies", freq)
+        object.__setattr__(self, "x", self.element(self.exponent))
+
+    def element(self, p: float) -> SpectralElement:
+        """The element with coefficients (1 v f)^(-p) over the slots."""
+        return SpectralElement(self.op, np.maximum(self.frequencies, 1.0) ** -p)
+
+    def tail_norm(self, p: float | None = None) -> float:
+        """Upper bound on the l2 norm of coefficients (1 v f)^(-p) beyond
+        the largest frequency F; ``p`` defaults to the fixture exponent.
+
+        Integral comparison over at most w f^d slots per frequency:
+        sum_{f > F} w f^(d - 2p) <= w F^((1 + d) - 2p) / (2p - (1 + d)).
+        """
+        p = self.exponent if p is None else p
+        d = self.mult_degree
+        if 2.0 * p <= 1 + d:
+            raise DomainError(f"coefficient exponent must exceed {(1 + d) / 2:g}")
+        f_max = float(self.frequencies.max())
+        return math.sqrt(
+            self.mult_weight * f_max ** ((1 + d) - 2.0 * p) / (2.0 * p - (1 + d))
+        )
+
+
+def _fixture(freq, eig, mult, p, kappa, mult_weight, mult_degree, note=""):
+    """Fixture over levels ``eig``, in any order, with multiplicities
+    ``mult``; every slot of a level carries the level's ``freq``."""
+    order = np.argsort(-eig, kind="stable")
+    op = SpectralOperator.from_levels(eig, mult, truncation_note=note)
+    frequencies = np.repeat(freq[order], mult[order])
+    return Fixture(op, kappa, frequencies, p, mult_weight, mult_degree)
+
+
+def single_layer_circle(N: int, u: float) -> Fixture:
     """Single-layer potential on a circle of radius e.
 
     The operator maps Fourier mode n to itself scaled by 1/|n| (the
@@ -66,21 +122,13 @@ def single_layer_circle(N: int, u: float):
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    if N == 1:
-        eig = np.array([1.0])
-        mult = np.array([3])
-        coef = np.ones(3)
-    else:
-        n = np.arange(2, N + 1, dtype=float)
-        eig = np.concatenate([[1.0], n**-2.0])
-        mult = np.concatenate([[3], np.full(N - 1, 2, dtype=np.int64)])
-        per_mode = n ** (-u - 0.5)
-        coef = np.concatenate([np.ones(3), np.repeat(per_mode, 2)])
-    op = SpectralOperator.from_levels(eig, mult)
-    return op, SpectralElement(op, coef), PowerIndex(u / 2.0)
+    n = np.arange(0, N + 1, dtype=float)
+    mult = np.where(n == 0, 1, 2)
+    eig = np.maximum(n, 1.0) ** -2.0
+    return _fixture(n, eig, mult, u + 0.5, PowerIndex(u / 2.0), 2, 0)
 
 
-def sobolev_scale(N: int, a: float, u: float):
+def sobolev_scale(N: int, a: float, u: float) -> Fixture:
     """Generic one-dimensional Sobolev smoothing scale.
 
     lam_m = m^(-2a) with multiplicity 1 and fixture coefficients
@@ -92,9 +140,8 @@ def sobolev_scale(N: int, a: float, u: float):
     if a <= 0:
         raise DomainError("a must be positive")
     m = np.arange(1, N + 1, dtype=float)
-    op = SpectralOperator.from_levels(m ** (-2.0 * a))
-    coef = m ** (-u - 0.5)
-    return op, SpectralElement(op, coef), PowerIndex(u / (2.0 * a))
+    kappa = PowerIndex(u / (2.0 * a))
+    return _fixture(m, m ** (-2.0 * a), np.ones(N, int), u + 0.5, kappa, 1, 0)
 
 
 def _apply_floor(eig: np.ndarray, requested: str) -> tuple[np.ndarray, str]:
@@ -109,7 +156,7 @@ def _apply_floor(eig: np.ndarray, requested: str) -> tuple[np.ndarray, str]:
     return eig[keep], note
 
 
-def backward_heat(t_bar: float, N: int, beta: float):
+def backward_heat(t_bar: float, N: int, beta: float) -> Fixture:
     """Reconstruct initial heat from the state at time t_bar (circle).
 
     Laplacian frequencies mu_n = n^2 give eigenvalues exp(-2 t_bar n^2)
@@ -126,16 +173,13 @@ def backward_heat(t_bar: float, N: int, beta: float):
         raise DomainError("N must be >= 1")
     n = np.arange(0, N + 1, dtype=float)
     eig, note = _apply_floor(np.exp(-2.0 * t_bar * n**2), f"n <= {N}")
-    kept = len(eig)
-    mult = np.concatenate([[1], np.full(kept - 1, 2, dtype=np.int64)])
-    op = SpectralOperator.from_levels(eig, mult, truncation_note=note)
-    per_mode = np.maximum(1.0, n[:kept]) ** (-2.0 * beta - 0.5)
-    coef = np.repeat(per_mode, mult)
+    n = n[: len(eig)]
     kappa = CappedIndex(
         ComposedIndex(LogPowerIndex(0.5, 0.0), scale=math.sqrt(2.0 * t_bar)),
         cap_at=math.exp(-2.0 * t_bar),
     )
-    return op, SpectralElement(op, coef), kappa
+    mult = np.where(n == 0, 1, 2)
+    return _fixture(n, eig, mult, 2.0 * beta + 0.5, kappa, 2, 0, note)
 
 
 def backward_heat_decay_index(beta: float, mu: float = 1.0 / 3.0) -> IndexFunction:
@@ -177,7 +221,7 @@ def sideways_heat_lambda(mu):
     return float(out) if mu_arr.ndim == 0 else out
 
 
-def sideways_heat(N: int, beta: float):
+def sideways_heat(N: int, beta: float) -> Fixture:
     """Recover the boundary temperature on the inaccessible side.
 
     The continuous line spectrum is discretized as mu_n = n^2 with
@@ -189,10 +233,10 @@ def sideways_heat(N: int, beta: float):
         raise DomainError("N must be >= 1")
     n = np.arange(0, N + 1, dtype=float)
     eig, note = _apply_floor(sideways_heat_lambda(n**2), f"n <= {N}")
-    op = SpectralOperator.from_levels(eig, truncation_note=note)
-    coef = np.maximum(1.0, n[: len(eig)]) ** (-2.0 * beta - 0.5)
+    n = n[: len(eig)]
     kappa = _tabulated_kappa(sideways_heat_lambda, t0=1.0, alpha_min=eig[-1] / 10.0)
-    return op, SpectralElement(op, coef), kappa
+    mult = np.ones(len(eig), int)
+    return _fixture(n, eig, mult, 2.0 * beta + 0.5, kappa, 1, 0, note)
 
 
 def gradiometry_lambda(mu, R: float):
@@ -203,7 +247,7 @@ def gradiometry_lambda(mu, R: float):
     return float(out) if mu_arr.ndim == 0 else out
 
 
-def gradiometry(R: float, L: int, beta: float):
+def gradiometry(R: float, L: int, beta: float) -> Fixture:
     """Downward continuation of gravity gradients from orbit radius R
     (relative to the Earth radius) to the surface.
 
@@ -230,15 +274,13 @@ def gradiometry(R: float, L: int, beta: float):
             f"lambda({mu[i + 1]:g}) = {lam_all[i + 1]:.6g}; increase R"
         )
     eig, note = _apply_floor(lam_all, f"l <= {L}")
-    kept = len(eig)
-    mult = (2 * np.arange(0, kept) + 1).astype(np.int64)
-    op = SpectralOperator.from_levels(eig, mult, truncation_note=note)
-    per_mode = np.maximum(1.0, ell[:kept]) ** (-2.0 * beta - 1.0)
-    coef = np.repeat(per_mode, mult)
+    ell = ell[: len(eig)]
     kappa = _tabulated_kappa(
         lambda m: gradiometry_lambda(m, R), t0=2.0, alpha_min=eig[-1] / 10.0
     )
-    return op, SpectralElement(op, coef), kappa
+    # 2l + 1 <= 3l slots at frequency l >= 1
+    mult = 2 * ell.astype(int) + 1
+    return _fixture(ell, eig, mult, 2.0 * beta + 1.0, kappa, 3, 1, note)
 
 
 def kappa_from_lambda(lambda_fn, t0: float, alpha):
@@ -320,7 +362,7 @@ class ProblemDescriptor:
         if size is None or size < 8:
             raise DomainError("descriptor fixtures need a truncation size >= 8")
 
-    def build(self):
+    def build(self) -> Fixture:
         return self._FACTORIES[self.kind](**self.params)
 
     def to_dict(self) -> dict:

@@ -8,7 +8,6 @@ vectors over the unrolled eigenbasis slots.  Everything downstream
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from functools import cached_property
 
@@ -27,7 +26,6 @@ __all__ = [
     "besov_seq_norm",
     "add_noise",
     "noise_generator",
-    "export_spectral_distribution",
 ]
 
 
@@ -70,14 +68,10 @@ class SpectralOperator:
         )
         order = np.argsort(-eig, kind="stable")
         eig, mult = eig[order], mult[order]
-        out_e, out_m = [], []
-        for e, m in zip(eig, mult):
-            if out_e and e == out_e[-1]:
-                out_m[-1] += m
-            else:
-                out_e.append(e)
-                out_m.append(int(m))
-        return cls(np.array(out_e), np.array(out_m), truncation_note)
+        # first index of each run of equal values; an empty input stays
+        # empty, for the constructor to reject
+        starts = np.flatnonzero(np.r_[True, eig[1:] != eig[:-1]][: eig.size])
+        return cls(eig[starts], np.add.reduceat(mult, starts), truncation_note)
 
     @cached_property
     def n_slots(self) -> int:
@@ -258,14 +252,6 @@ class WhiteNoise:
         return {"kind": "white", "epsilon": self.epsilon, "seed": self.seed}
 
 
-def noise_from_dict(d: dict):
-    if d["kind"] == "deterministic":
-        return DeterministicNoise(float(d["delta"]))
-    if d["kind"] == "white":
-        return WhiteNoise(float(d["epsilon"]), int(d.get("seed", 0)))
-    raise ValueError(f"unknown noise kind: {d['kind']!r}")
-
-
 def noise_generator(noise: WhiteNoise, replicate: int) -> np.random.Generator:
     """Reproducible per-replicate generator keyed by (seed, replicate)."""
     return np.random.default_rng(
@@ -305,14 +291,3 @@ def add_noise(
         w = noise_generator(noise, replicate).standard_normal(g.op.n_slots)
         return g.with_coefficients(g.coefficients + noise.epsilon * w)
     raise TypeError(f"unsupported noise model: {noise!r}")
-
-
-def export_spectral_distribution(x: SpectralElement, path) -> None:
-    """CSV rows (lambda, ||E_lambda x||) over the eigenvalue set."""
-    eig = x.op.eigenvalues
-    vals = spectral_distribution(x, eig)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "distribution"])
-        for lam, v in zip(eig, np.atleast_1d(vals)):
-            writer.writerow([repr(float(lam)), repr(float(v))])

@@ -32,9 +32,6 @@ def brute_force_worst_case(
         return base
     rng = np.random.default_rng(seed)
 
-    def value(eta):
-        return float(np.linalg.norm(-b + d * eta))
-
     best = base
     best_eta = np.zeros(n)
     dirs = rng.standard_normal((n_random, n))
@@ -51,28 +48,25 @@ def brute_force_worst_case(
         starts.append(-delta * db / np.linalg.norm(db))
     top = np.zeros(n)
     top[int(np.argmax(d))] = delta
-    starts.append(top)
-    starts.append(-top)
-    for _ in range(n_starts):
-        u = rng.standard_normal(n)
-        starts.append(delta * u / np.linalg.norm(u))
+    starts += [top, -top]
+    u = rng.standard_normal((n_starts, n))
+    eta = np.vstack(starts + [delta * u / np.linalg.norm(u, axis=1, keepdims=True)])
 
-    for eta in starts:
-        eta = eta.copy()
-        for _ in range(n_iter):
-            v = d * (d * eta - b)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            new = delta * v / nv
-            if np.linalg.norm(new - eta) <= 1e-16 * delta:
-                eta = new
-                break
-            eta = new
-        val = value(eta)
-        if val > best:
-            best = val
-    return best
+    # all starts climb at once; a start leaves the live set when its
+    # ascent direction vanishes or its step drops below 1e-16 * delta
+    live = np.arange(len(eta))
+    for _ in range(n_iter):
+        v = d * (d * eta[live] - b)
+        nv = np.linalg.norm(v, axis=1)
+        moving = nv != 0.0
+        live, new = live[moving], delta * v[moving] / nv[moving, None]
+        step = np.linalg.norm(new - eta[live], axis=1)
+        eta[live] = new
+        live = live[step > 1e-16 * delta]
+        if live.size == 0:
+            break
+    vals = np.linalg.norm(-b + d * eta, axis=1)
+    return max(best, float(vals.max()))
 
 
 def dense_vsc_residuals(coef, slot_lam, psi, probes):

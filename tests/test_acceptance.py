@@ -264,15 +264,15 @@ def test_07_bias_decay_converse(capsys):
 def test_08_vsc_zero_witnesses_and_shrunk_profile(capsys):
     t0 = time.perf_counter()
     cases = []
-    sob_op, sob_x, sob_kappa = ProblemDescriptor(
+    sob = ProblemDescriptor(
         "sobolev_scale", {"N": 1000, "a": 1.0, "u": 0.5}
     ).build()
-    cases.append(("sobolev", sob_x, sob_op, sob_kappa, 0.2))
-    bh_op, bh_x, _ = ProblemDescriptor(
+    cases.append(("sobolev", sob.x, sob.op, sob.kappa, 0.2))
+    bh = ProblemDescriptor(
         "backward_heat", {"t_bar": 1.0, "N": 30, "beta": 1.0}
     ).build()
     cases.append(
-        ("backward-heat", bh_x, bh_op, backward_heat_decay_index(1.0), 1 / 3)
+        ("backward-heat", bh.x, bh.op, backward_heat_decay_index(1.0), 1 / 3)
     )
     ok = True
     details = []
@@ -336,7 +336,8 @@ def test_10_delta_set_identity_and_gap(capsys):
     detail = f"single-mode max dev {np.max(np.abs(rep.deltas/alphas - 1)):.1e}"
     gaps = []
     for name, desc in fixture_registry().items():
-        op, x, _ = desc.build()
+        fixture = desc.build()
+        op, x = fixture.op, fixture.x
         method = landweber(
             mu_step=0.9 / op.norm_tstar_t, op_norm_sq=op.norm_tstar_t
         )

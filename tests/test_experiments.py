@@ -118,7 +118,7 @@ class TestConfigValidation:
 
 class TestDefaultAlphaGrid:
     def test_spans_spectrum_with_forty_per_decade(self):
-        op, _, _ = circle(200).build()
+        op = circle(200).build().op
         grid = default_alpha_grid(op, tikhonov())
         assert grid[0] == pytest.approx(op.eigenvalues[-1] / 10)
         assert grid[-1] == pytest.approx(op.eigenvalues[0] * 10)
@@ -126,7 +126,7 @@ class TestDefaultAlphaGrid:
         assert grid.size == int(math.ceil(decades * 40)) + 1
 
     def test_iteration_methods_snap_to_reciprocal_integers(self):
-        op, _, _ = circle(200).build()
+        op = circle(200).build().op
         method = landweber(mu_step=0.9, op_norm_sq=op.norm_tstar_t)
         grid = default_alpha_grid(op, method)
         ks = 1.0 / grid
@@ -135,30 +135,66 @@ class TestDefaultAlphaGrid:
         assert np.all(np.diff(grid) > 0)
 
 
+GRADIOMETRY = ProblemDescriptor("gradiometry", {"R": 4.0, "L": 24, "beta": 1.0})
+
+# one descriptor per factory kind, with its coefficient exponent p and
+# the tail bound sqrt(w F^((1 + d) - 2p) / (2p - (1 + d))) worked by hand
+# from the truncation frequency F and the multiplicity law w f^d
+FIXTURE_LAWS = [
+    (circle(), 1.5, 1 / 2000),
+    (
+        ProblemDescriptor("sobolev_scale", {"N": 1000, "a": 1.0, "u": 0.5}),
+        1.0,
+        1000**-0.5,
+    ),
+    # exp(-2 n^2) keeps n <= 17 above the eigenvalue floor
+    (
+        ProblemDescriptor("backward_heat", {"t_bar": 1.0, "N": 30, "beta": 1.0}),
+        2.5,
+        0.5**0.5 / 17**2,
+    ),
+    (ProblemDescriptor("sideways_heat", {"N": 64, "beta": 1.0}), 2.5, 0.5 / 64**2),
+    (GRADIOMETRY, 3.0, 0.75**0.5 / 24**2),
+]
+
+
 class TestElementOverride:
-    def test_fixture_exponent_reproduces_fixture(self):
-        cfg = det_config(element={"kind": "coefficient_power", "p": 1.5})
-        op, x, _ = cfg.problem.build()
-        x_over, tail = resolve_element(cfg, op, x)
-        np.testing.assert_allclose(x_over.coefficients, x.coefficients)
-        assert 0 < tail < 1e-3
+    @pytest.mark.parametrize(
+        "problem,p,want_tail",
+        FIXTURE_LAWS,
+        ids=[d.kind for d, _, _ in FIXTURE_LAWS],
+    )
+    def test_fixture_exponent_reproduces_fixture(self, problem, p, want_tail):
+        element = {"kind": "coefficient_power", "p": p}
+        cfg = det_config(problem=problem, element=element)
+        fixture = problem.build()
+        x_over, tail = resolve_element(cfg, fixture)
+        np.testing.assert_array_equal(x_over.coefficients, fixture.x.coefficients)
+        assert tail == pytest.approx(want_tail, rel=1e-12)
+        assert resolve_element(det_config(problem=problem), fixture)[1] == tail
+
+    @pytest.mark.parametrize("problem,p", [(circle(), 0.5), (GRADIOMETRY, 1.0)])
+    def test_tail_refused_at_divergent_exponent(self, problem, p):
+        element = {"kind": "coefficient_power", "p": p}
+        cfg = det_config(problem=problem, element=element)
+        with pytest.raises(DomainError, match="exponent must exceed"):
+            resolve_element(cfg, problem.build())
 
     def test_range_power_multiplies_by_lambda(self):
         cfg = det_config(element={"kind": "range_power", "s": 0.5})
-        op, x, _ = cfg.problem.build()
-        x_over, tail = resolve_element(cfg, op, x)
+        fixture = cfg.problem.build()
+        x_over, tail = resolve_element(cfg, fixture)
         np.testing.assert_allclose(
             x_over.coefficients,
-            x.coefficients * np.sqrt(op.slot_eigenvalues),
+            fixture.x.coefficients * np.sqrt(fixture.op.slot_eigenvalues),
         )
         # base tail 5e-4 scaled by lam_min^0.5 = 5e-4
         assert tail == pytest.approx(5e-4 * 5e-4, rel=1e-6)
 
     def test_unknown_override_rejected(self):
         cfg = det_config(element={"kind": "mystery"})
-        op, x, _ = cfg.problem.build()
         with pytest.raises(DomainError, match="unknown element"):
-            resolve_element(cfg, op, x)
+            resolve_element(cfg, cfg.problem.build())
 
 
 class TestDeterministicRate:

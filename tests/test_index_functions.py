@@ -107,7 +107,7 @@ class TestThetaInversion:
 
     @pytest.mark.parametrize(
         "kappa",
-        [sideways_heat(64, 1.0)[2], gradiometry(4.0, 24, 1.0)[2]],
+        [sideways_heat(64, 1.0).kappa, gradiometry(4.0, 24, 1.0).kappa],
         ids=["sideways_heat", "gradiometry"],
     )
     def test_capped_table_stays_inside_its_table(self, kappa):

@@ -71,7 +71,7 @@ class TestAPriori:
     def test_capped_table_kappa(self):
         # sideways heat's kappa is a capped table: a budget inside its range
         # snaps like any other, one below the table clamps low
-        kappa = sideways_heat(64, 1.0)[2]
+        kappa = sideways_heat(64, 1.0).kappa
         grid = np.geomspace(1e-4, 1.0, 50)
         choice = choose_a_priori(kappa, 1e-3, grid)
         ideal = theta_inverse(kappa, 1e-3)

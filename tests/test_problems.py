@@ -36,20 +36,24 @@ def circle_frequencies(N):
 
 class TestSingleLayerCircle:
     def test_small_truncation_layout(self):
-        op, x, kappa = single_layer_circle(3, 1.0)
-        assert np.allclose(op.eigenvalues, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
-        assert op.multiplicities.tolist() == [3, 2, 2]
+        fx = single_layer_circle(3, 1.0)
+        assert np.allclose(fx.op.eigenvalues, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
+        assert fx.op.multiplicities.tolist() == [3, 2, 2]
         # merged zero and first modes all carry coefficient 1
-        assert np.allclose(x.coefficients[:3], 1.0)
-        assert x.coefficients[3] == pytest.approx(2.0**-1.5, rel=1e-15)
+        assert np.allclose(fx.x.coefficients[:3], 1.0)
+        assert fx.x.coefficients[3] == pytest.approx(2.0**-1.5, rel=1e-15)
+        np.testing.assert_array_equal(fx.frequencies, circle_frequencies(3))
+        np.testing.assert_array_equal(
+            single_layer_circle(1, 1.0).frequencies, circle_frequencies(1)
+        )
 
     def test_decay_norm_finite(self):
         for u in [0.5, 1.0, 2.0]:
-            op, x, kappa = single_layer_circle(500, u)
-            assert math.isfinite(xtk_norm(x, kappa))
+            fx = single_layer_circle(500, u)
+            assert math.isfinite(xtk_norm(fx.x, fx.kappa))
 
     def test_kappa_exponent(self):
-        _, _, kappa = single_layer_circle(8, 1.0)
+        kappa = single_layer_circle(8, 1.0).kappa
         # smoothness u over a = 1 gives exponent u/2
         assert float(kappa(0.04)) == pytest.approx(0.2, rel=1e-12)
 
@@ -57,46 +61,49 @@ class TestSingleLayerCircle:
         for u in [0.5, 1.0]:
             ratios = []
             for N in [100, 1000, 10000]:
-                op, x, kappa = single_layer_circle(N, u)
-                seq = besov_seq_norm(circle_frequencies(N), x.coefficients, u)
-                ratios.append(xtk_norm(x, kappa) / seq)
+                fx = single_layer_circle(N, u)
+                np.testing.assert_array_equal(fx.frequencies, circle_frequencies(N))
+                seq = besov_seq_norm(circle_frequencies(N), fx.x.coefficients, u)
+                ratios.append(xtk_norm(fx.x, fx.kappa) / seq)
             assert max(ratios) / min(ratios) <= 1.05
 
 
 class TestSobolevScale:
     def test_matches_closed_forms(self):
-        op, x, kappa = sobolev_scale(50, 2.0, 1.0)
-        assert op.eigenvalues[4] == pytest.approx(5.0**-4.0, rel=1e-15)
-        assert float(kappa(1e-4)) == pytest.approx(1e-1, rel=1e-12)
-        assert math.isfinite(xtk_norm(x, kappa))
+        fx = sobolev_scale(50, 2.0, 1.0)
+        assert fx.op.eigenvalues[4] == pytest.approx(5.0**-4.0, rel=1e-15)
+        assert float(fx.kappa(1e-4)) == pytest.approx(1e-1, rel=1e-12)
+        assert math.isfinite(xtk_norm(fx.x, fx.kappa))
+        np.testing.assert_array_equal(fx.frequencies, np.arange(1, 51))
 
 
 class TestBackwardHeat:
     def test_eigenvalue_formula(self):
-        op, _, _ = backward_heat(1.0, 5, 1.0)
+        op = backward_heat(1.0, 5, 1.0).op
         assert op.eigenvalues[1] == pytest.approx(math.exp(-2.0), rel=1e-15)
         assert op.multiplicities.tolist() == [1, 2, 2, 2, 2, 2]
 
     def test_kappa_normalization_point(self):
-        _, _, kappa = backward_heat(1.0, 5, 1.0)
+        kappa = backward_heat(1.0, 5, 1.0).kappa
         assert float(kappa(math.exp(-2.0))) == pytest.approx(1.0, rel=1e-12)
 
     def test_underflow_cap_recorded(self):
-        op, x, _ = backward_heat(1.0, 30, 1.0)
-        assert len(op.eigenvalues) == 18  # n <= 17 at t_bar = 1
-        assert "dropped" in op.truncation_note
-        assert op.n_slots == len(x.coefficients)
+        fx = backward_heat(1.0, 30, 1.0)
+        assert len(fx.op.eigenvalues) == 18  # n <= 17 at t_bar = 1
+        assert "dropped" in fx.op.truncation_note
+        assert fx.op.n_slots == len(fx.x.coefficients)
 
     def test_no_note_when_nothing_dropped(self):
-        op, _, _ = backward_heat(1.0, 10, 1.0)
+        op = backward_heat(1.0, 10, 1.0).op
         assert op.truncation_note == ""
 
     def test_norm_equivalence_for_smoothness_class(self):
-        op, x, kappa = backward_heat(1.0, 30, 1.0)
-        n_levels = len(op.eigenvalues)
+        fx = backward_heat(1.0, 30, 1.0)
+        n_levels = len(fx.op.eigenvalues)
         freqs = np.concatenate([[0], np.repeat(np.arange(1, n_levels), 2)])
-        seq = besov_seq_norm(freqs, x.coefficients, 2.0)
-        ratio = xtk_norm(x, ComposedIndex(kappa, power=2.0)) / seq
+        np.testing.assert_array_equal(fx.frequencies, freqs)
+        seq = besov_seq_norm(freqs, fx.x.coefficients, 2.0)
+        ratio = xtk_norm(fx.x, ComposedIndex(fx.kappa, power=2.0)) / seq
         assert 0.5 <= ratio <= 2.0
 
     def test_decay_index_passes_structure_checks(self):
@@ -109,8 +116,8 @@ class TestBackwardHeat:
         # psi from the converted decay certificate behaves like
         # C * log(3 + 1/t)^(-2 beta): constant band at the right
         # exponent, drifting band one power off
-        op, x, _ = backward_heat(1.0, 30, 1.0)
-        profile = decay_to_vsc(x, op, backward_heat_decay_index(1.0), 1.0 / 3.0)
+        fx = backward_heat(1.0, 30, 1.0)
+        profile = decay_to_vsc(fx.x, fx.op, backward_heat_decay_index(1.0), 1.0 / 3.0)
         t = np.geomspace(1e-30, 1e-2, 40)
         logs = np.log(3.0 + 1.0 / t)
         right = profile.psi(t) * logs**2
@@ -138,10 +145,12 @@ class TestSidewaysHeat:
             assert ratio == pytest.approx(1.0, abs=tol)
 
     def test_fixture_monotone_and_finite_norm(self):
-        op, x, kappa = sideways_heat(64, 1.0)
-        assert np.all(np.diff(op.eigenvalues) < 0)
-        assert op.eigenvalues[0] == 1.0
-        assert math.isfinite(xtk_norm(x, ComposedIndex(kappa, power=2.0)))
+        fx = sideways_heat(64, 1.0)
+        assert np.all(np.diff(fx.op.eigenvalues) < 0)
+        assert fx.op.eigenvalues[0] == 1.0
+        assert math.isfinite(xtk_norm(fx.x, ComposedIndex(fx.kappa, power=2.0)))
+        # mu_n = n^2 for n = 0..N, one slot each
+        np.testing.assert_array_equal(fx.frequencies, np.arange(0, 65))
 
     def test_kappa_log_asymptote_trend(self):
         # kappa(alpha) * ln(1/alpha) / 2 climbs monotonically toward 1
@@ -155,10 +164,19 @@ class TestSidewaysHeat:
 
 class TestGradiometry:
     def test_accepts_wide_orbit(self):
-        op, x, kappa = gradiometry(4.0, 24, 1.0)
-        assert len(op.eigenvalues) == 25
-        assert op.multiplicities[2] == 5
-        assert math.isfinite(xtk_norm(x, ComposedIndex(kappa, power=2.0)))
+        fx = gradiometry(4.0, 24, 1.0)
+        assert len(fx.op.eigenvalues) == 25
+        assert fx.op.multiplicities[2] == 5
+        assert math.isfinite(xtk_norm(fx.x, ComposedIndex(fx.kappa, power=2.0)))
+        ell = np.arange(0, 25)
+        np.testing.assert_array_equal(fx.frequencies, np.repeat(ell, 2 * ell + 1))
+
+    def test_frequencies_follow_levels_when_zero_mode_sorts_below(self):
+        # at R = 2.5 lambda(l=1) exceeds lambda(l=0), so the operator lists
+        # the l = 1 level first and the slot labels follow it
+        fx = gradiometry(2.5, 24, 1.0)
+        assert fx.op.multiplicities[:2].tolist() == [3, 1]
+        np.testing.assert_array_equal(fx.frequencies[:5], [1, 1, 1, 0, 2])
 
     def test_rejects_narrow_orbit_with_witness(self):
         with pytest.raises(DomainError) as err:
@@ -217,10 +235,11 @@ class TestKappaFromLambda:
 class TestDescriptors:
     def test_registry_builds_valid_fixtures(self):
         for name, desc in fixture_registry().items():
-            op, x, kappa = desc.build()
-            assert np.all(np.diff(op.eigenvalues) < 0), name
-            assert op.eigenvalues[-1] > 0, name
-            assert len(x.coefficients) == op.n_slots, name
+            fx = desc.build()
+            assert np.all(np.diff(fx.op.eigenvalues) < 0), name
+            assert fx.op.eigenvalues[-1] > 0, name
+            assert len(fx.x.coefficients) == fx.op.n_slots, name
+            assert len(fx.frequencies) == fx.op.n_slots, name
 
     def test_round_trip(self):
         desc = fixture_registry()["circle-u1"]

@@ -135,9 +135,9 @@ class TestWorstCase:
         cases = [(m, [0.2], x, [1e-3, 0.3, 20.0]) for m in catalogue()]
         # the default grid reaches alpha ~ 1e-252 here, where theta**2 and
         # sigma**2 leave the double range
-        heat_op, heat_x, _ = backward_heat(1.0, 30, 1.0)
-        heat_alphas = default_alpha_grid(heat_op, showalter())
-        cases.append((showalter(), heat_alphas, heat_x, [1e-3]))
+        heat = backward_heat(1.0, 30, 1.0)
+        heat_alphas = default_alpha_grid(heat.op, showalter())
+        cases.append((showalter(), heat_alphas, heat.x, [1e-3]))
         for m, alphas, elem, deltas in cases:
             for alpha in alphas:
                 for delta in deltas:
@@ -336,17 +336,17 @@ class TestAlphaTables:
 
     @pytest.fixture(scope="class")
     def circle(self):
-        op, x, _ = single_layer_circle(10_000, 1.0)
-        return op, x
+        fixture = single_layer_circle(2_000, 1.0)
+        return fixture.op, fixture.x
 
     @pytest.mark.parametrize("idx", range(6), ids=lambda i: catalogue()[i].name)
     def test_grid_call_matches_scalar_calls(self, circle, idx):
         op, x = circle
         m = catalogue(op.norm_tstar_t)[idx]
         alphas = np.geomspace(1e-7, min(m.alpha_max, 1.0) * 0.999, 15)
-        # 5001 levels give 6 rows per block, so 15 alphas cross two block
+        # 2000 levels give 4 rows per block, so 15 alphas cross three block
         # boundaries
-        assert alphas.size > filters._TABLE_BYTES // (8 * op.eigenvalues.size)
+        assert 1 < filters._TABLE_BYTES // (8 * op.eigenvalues.size) < alphas.size
         lam_slot = op.slot_eigenvalues
         grids = {
             "bias": bias(m, alphas, x),

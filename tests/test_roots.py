@@ -181,7 +181,8 @@ def test_secular_newton_matches_bisection_on_random_problems():
 def test_secular_newton_matches_bisection_on_heat_spectra():
     # 30 levels whose propagation factors span hundreds of decades at
     # small alpha, with the smallest budget of the log-band sweeps
-    op, x, _ = backward_heat(1.0, 30, 1.0)
+    fixture = backward_heat(1.0, 30, 1.0)
+    op, x = fixture.op, fixture.x
     m = showalter()
     delta = 1e-12
     solved = 0

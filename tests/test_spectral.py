@@ -24,6 +24,19 @@ def small_op():
     )
 
 
+def merged_levels(eig, mult):
+    """Loop reference for from_levels: stable descending sort, then equal
+    neighbours pooled."""
+    out_e, out_m = [], []
+    for e, m in sorted(zip(eig, mult), key=lambda pair: -pair[0]):
+        if out_e and e == out_e[-1]:
+            out_m[-1] += m
+        else:
+            out_e.append(e)
+            out_m.append(m)
+    return out_e, out_m
+
+
 class TestOperator:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,6 +52,26 @@ class TestOperator:
         )
         np.testing.assert_allclose(op.eigenvalues, [1.0, 0.25])
         np.testing.assert_array_equal(op.multiplicities, [3, 2])
+        # unsorted, with ties scattered and a tie at the last level
+        op = SpectralOperator.from_levels(
+            np.array([0.25, 1.0, 0.5, 0.25, 1.0]), np.array([1, 2, 4, 3, 5])
+        )
+        np.testing.assert_array_equal(op.eigenvalues, [1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(op.multiplicities, [7, 4, 4])
+        op = SpectralOperator.from_levels(np.array([0.5, 1.0, 0.5]))
+        np.testing.assert_array_equal(op.multiplicities, [1, 2])
+        with pytest.raises(ValueError, match="nonempty"):
+            SpectralOperator.from_levels(np.array([]))
+
+    def test_from_levels_matches_merge_loop(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 300):
+            eig = rng.choice([1.0, 0.5, 0.25, 1e-3, 1e-300], size=n)
+            mult = rng.integers(1, 4, size=n)
+            want_e, want_m = merged_levels(eig, mult)
+            op = SpectralOperator.from_levels(eig, mult)
+            np.testing.assert_array_equal(op.eigenvalues, want_e)
+            np.testing.assert_array_equal(op.multiplicities, want_m)
 
     def test_slots(self):
         op = small_op()

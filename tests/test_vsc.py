@@ -349,13 +349,14 @@ class TestFalsification:
 def family_fixture(name):
     """A small fixture and its decay-certified profile."""
     if name == "sobolev":
-        op, x, kappa = sobolev_scale(60, 1.0, 0.5)
-        return op, x, decay_to_vsc(x, op, kappa, 0.2)
+        fx = sobolev_scale(60, 1.0, 0.5)
+        return fx.op, fx.x, decay_to_vsc(fx.x, fx.op, fx.kappa, 0.2)
     if name == "heat":  # multiplicity 2 and a zero mode
-        op, x, _ = backward_heat(1.0, 12, 1.0)
-        return op, x, decay_to_vsc(x, op, backward_heat_decay_index(1.0), 1.0 / 3.0)
-    op, x, kappa = single_layer_circle(40, 0.5)
-    return op, x, decay_to_vsc(x, op, kappa, 0.2)
+        fx = backward_heat(1.0, 12, 1.0)
+        kappa = backward_heat_decay_index(1.0)
+        return fx.op, fx.x, decay_to_vsc(fx.x, fx.op, kappa, 1.0 / 3.0)
+    fx = single_layer_circle(40, 0.5)
+    return fx.op, fx.x, decay_to_vsc(fx.x, fx.op, fx.kappa, 0.2)
 
 
 def two_slot_fixture():
@@ -458,7 +459,8 @@ class TestLinearMemory:
     def test_certify_and_falsify_twenty_thousand_slots(self):
         # 20k truncations, then Gaussian and spike probes: a G x G
         # structure check or a probes x slots matrix would need gigabytes
-        op, x, kappa = sobolev_scale(20_000, 1.0, 0.5)
+        fx = sobolev_scale(20_000, 1.0, 0.5)
+        op, x, kappa = fx.op, fx.x, fx.kappa
         tracemalloc.start()
         try:
             profile = decay_to_vsc(x, op, kappa, 0.5)
