@@ -43,6 +43,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -107,6 +108,19 @@ def _field(path: str, convert, value):
         raise DomainError(f"{path}: {exc}") from None
 
 
+def _whole(path: str, value, minimum: int = 0) -> int:
+    """A whole number >= minimum; bools, strings and fractions are
+    refused rather than rounded."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
+    ):
+        raise DomainError(f"{path} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{path} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # sweeps and rate models
 
@@ -153,8 +167,12 @@ class WhiteNoiseSweep:
         object.__setattr__(
             self, "epsilons", _validated_levels(self.epsilons, "noise.epsilons")
         )
-        if self.replicates < 0:
-            raise DomainError("replicates must be >= 0")
+        replicates = _whole("noise.replicates", self.replicates)
+        # a Monte Carlo standard error needs two replicates; 0 skips the check
+        if replicates == 1:
+            raise DomainError("noise.replicates must be 0 or >= 2, got 1")
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "seed", _whole("noise.seed", self.seed))
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -176,8 +194,8 @@ def sweep_from_dict(d: dict):
     if kind == "white":
         return WhiteNoiseSweep(
             d["epsilons"],
-            replicates=_field("noise.replicates", int, d.get("replicates", 0)),
-            seed=_field("noise.seed", int, d.get("seed", 0)),
+            replicates=d.get("replicates", 0),
+            seed=d.get("seed", 0),
         )
     raise DomainError(f"unknown sweep kind {kind!r}")
 
@@ -274,6 +292,9 @@ class ExperimentConfig:
             raise DomainError("config name must be a nonempty path-safe string")
         if self.operation not in self._OPERATIONS:
             raise DomainError(f"unknown operation {self.operation!r}")
+        # a falsification search without probes would pass unexamined
+        object.__setattr__(self, "n_probes", _whole("n_probes", self.n_probes, 1))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.alpha_grid is not None:
             arr = _field(
                 "alpha_grid", lambda v: np.asarray(v, dtype=float), self.alpha_grid
@@ -347,8 +368,8 @@ class ExperimentConfig:
             growth_limit=_field("growth_limit", float, d.get("growth_limit", 10.0)),
             mu=_field("mu", float, d["mu"]) if "mu" in d else None,
             kappa=_field("kappa", dict, d["kappa"]) if "kappa" in d else None,
-            n_probes=_field("n_probes", int, d.get("n_probes", 10_000)),
-            seed=_field("seed", int, d.get("seed", 0)),
+            n_probes=d.get("n_probes", 10_000),
+            seed=d.get("seed", 0),
             out_dir=d.get("out_dir"),
         )
 
@@ -882,29 +903,31 @@ def run_white_noise_rate(cfg: ExperimentConfig) -> RateReport:
     fit, fit_verdict = _fit_with_audit(rows, cfg.rate_model, notes)
     verdicts.append(fit_verdict)
 
-    if cfg.noise.replicates > 1:
+    if cfg.noise.replicates:
         picks = sorted({0, len(rows) // 2, len(rows) - 1})[:_MC_ROW_LIMIT]
+        picked = [rows[i] for i in picks]
+        est = mse_monte_carlo(
+            method,
+            np.array([row.alpha for row in picked]),
+            x,
+            [WhiteNoise(row.level, seed=seed) for row in picked],
+            cfg.noise.replicates,
+        )
         mc_detail = []
         mc_ok = True
-        for i in picks:
-            row = rows[i]
-            est = mse_monte_carlo(
-                method,
-                row.alpha,
-                x,
-                WhiteNoise(row.level, seed=seed),
-                cfg.noise.replicates,
-            )
+        for row, mc_ms, se in zip(
+            picked, est.mean_squared.tolist(), est.se_mean_squared.tolist()
+        ):
             exact_ms = row.bias**2 + row.noise_term**2
-            gap = abs(est.mean_squared - exact_ms)
-            ok = gap <= 3.0 * est.se_mean_squared
+            gap = abs(mc_ms - exact_ms)
+            ok = gap <= 3.0 * se
             mc_ok = mc_ok and ok
             mc_detail.append(
                 {
                     "level": row.level,
                     "exact_mse": exact_ms,
-                    "mc_mse": est.mean_squared,
-                    "se": est.se_mean_squared,
+                    "mc_mse": mc_ms,
+                    "se": se,
                     "within_3se": ok,
                 }
             )

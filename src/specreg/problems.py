@@ -356,6 +356,8 @@ class ProblemDescriptor:
         for key, value in self.params.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"params.{key} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"params.{key} must be finite, got {value!r}")
         size = next(
             (self.params[k] for k in self._SIZE_KEYS if k in self.params), None
         )

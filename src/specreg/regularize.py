@@ -25,7 +25,9 @@ step therefore costs O(#levels) regardless of multiplicity.
 
 ``bias``, ``propagation_norm`` and ``variance_trace`` take a scalar alpha
 or a 1-d alpha grid; a grid is evaluated as (alpha x level) filter
-tables in alpha blocks of fixed byte size.
+tables in alpha blocks of fixed byte size.  ``mse_monte_carlo`` takes
+one row or a 1-d alpha of rows, all scored from one noise draw per
+replicate.
 """
 
 from __future__ import annotations
@@ -332,48 +334,86 @@ def error_breakdown(
 
 @dataclasses.dataclass(frozen=True)
 class MonteCarloEstimate:
-    mean_squared: float
-    se_mean_squared: float
-    rmse: float
+    """Monte Carlo mean squared error: floats for one row, else one
+    value per row in each array field."""
+
+    mean_squared: float | np.ndarray
+    se_mean_squared: float | np.ndarray
+    rmse: float | np.ndarray
     n_replicates: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in dataclasses.asdict(self).items()
+        }
 
 
 def mse_monte_carlo(
     method: FilterMethod,
-    alpha: float,
+    alpha,
     x: SpectralElement,
-    noise: WhiteNoise,
+    noise,
     n_replicates: int,
 ) -> MonteCarloEstimate:
     """Sample mean of ||x_hat - x||^2 under white noise.
 
-    Each replicate i draws from the stream noise_generator(noise, i), so
-    estimates are reproducible per (seed, replicate) and extending the
-    replicate count keeps earlier draws fixed.
+    A scalar alpha with one ``WhiteNoise`` scores one row and gives
+    floats; a 1-d alpha with a sequence of one ``WhiteNoise`` per alpha
+    gives one value per row.  Replicate i draws W from the stream
+    noise_generator(noise, i), which depends on (seed, i) only, so every
+    row shares one seed and reads the same W: it is drawn once per
+    replicate and scored for every row as ||r x - eps q sqrt(lam) W||^2.
+    Estimates are reproducible per (seed, replicate), extending the
+    replicate count keeps earlier draws fixed, and a row scores exactly
+    as it would alone.  Time is O(replicates * slots * (1 + rows)),
+    memory O(rows * (slots + replicates)).
     """
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim > 1:
+        raise ValueError("alpha must be a scalar or a 1-d array")
+    if (a.ndim == 0) != isinstance(noise, WhiteNoise):
+        raise ValueError(
+            "a scalar alpha takes one WhiteNoise, a 1-d alpha a sequence"
+        )
+    noises = (noise,) if a.ndim == 0 else tuple(noise)
+    alphas = a.reshape(-1)
+    if len(noises) != alphas.size:
+        raise ValueError(
+            f"{alphas.size} alphas but {len(noises)} noises; need one per row"
+        )
+    if len({nz.seed for nz in noises}) > 1:
+        raise ValueError("rows must share one noise seed")
     if n_replicates < 2:
         raise ValueError("need at least two replicates")
     op = x.op
     lam = op.slot_eigenvalues
-    residual = method.r(alpha, lam) * x.coefficients
-    d = noise.epsilon * method.q(alpha, lam) * np.sqrt(lam)
-    err_sq = np.empty(n_replicates)
-    # one buffer for every replicate: w becomes residual - d * w in place
+    residuals = [method.r(float(ak), lam) * x.coefficients for ak in alphas]
+    ds = [
+        nz.epsilon * method.q(float(ak), lam) * np.sqrt(lam)
+        for ak, nz in zip(alphas, noises)
+    ]
+    err_sq = np.empty((alphas.size, n_replicates))
+    # one draw buffer w and one score buffer t for every replicate and
+    # row: t becomes residual - d * w in place
     w = np.empty(op.n_slots)
+    t = np.empty(op.n_slots)
     for i in range(n_replicates):
-        noise_generator(noise, i).standard_normal(out=w)
-        np.multiply(d, w, out=w)
-        np.subtract(residual, w, out=w)
-        err_sq[i] = float(w @ w)
-    mean = float(np.mean(err_sq))
-    se = float(np.std(err_sq, ddof=1) / math.sqrt(n_replicates))
+        noise_generator(noises[0], i).standard_normal(out=w)
+        for k, (residual, d) in enumerate(zip(residuals, ds)):
+            np.multiply(d, w, out=t)
+            np.subtract(residual, t, out=t)
+            err_sq[k, i] = float(t @ t)
+    # each row's statistics come from its own contiguous run of err_sq
+    mean = np.array([np.mean(row) for row in err_sq])
+    se = np.array([np.std(row, ddof=1) for row in err_sq]) / math.sqrt(n_replicates)
+    rmse = np.sqrt(mean)
+    if a.ndim == 0:
+        mean, se, rmse = float(mean[0]), float(se[0]), float(rmse[0])
     return MonteCarloEstimate(
         mean_squared=mean,
         se_mean_squared=se,
-        rmse=math.sqrt(mean),
+        rmse=rmse,
         n_replicates=n_replicates,
     )
 

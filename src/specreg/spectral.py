@@ -44,6 +44,8 @@ class SpectralOperator:
             raise ValueError("eigenvalues must be a nonempty 1-d array")
         if mult.shape != eig.shape:
             raise ValueError("multiplicities must match eigenvalues in shape")
+        if not np.all(np.isfinite(eig)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(eig <= 0):
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) >= 0):

@@ -1,11 +1,16 @@
 """Brute-force reference maximizers used to cross-check analytic solvers.
 
 Kept independent of the package internals: the worst-case oracle never
-forms the secular equation, it climbs the sphere directly, and the
-falsification references form every probe vector explicitly.
+forms the secular equation, it climbs the sphere directly, the
+falsification references form every probe vector explicitly, and the
+Monte Carlo reference scores one row at a time with its own draws.
 """
 
+import math
+
 import numpy as np
+
+from specreg.spectral import noise_generator
 
 
 def brute_force_worst_case(
@@ -133,3 +138,26 @@ def dense_falsify_probes(coef, slot_offsets, n_probes, seed, scales):
     radii = scales[np.arange(n_spike) % len(scales)] * norm_c
     out["spike"] = dense_spikes(coef, slots, signs * radii)
     return out
+
+
+def monte_carlo_one_row(method, alpha, x, noise, n_replicates):
+    """One Monte Carlo row scored alone: per-replicate squared errors
+    ||r x - eps q sqrt(lam) W_i||^2 with W_i drawn from
+    noise_generator(noise, i), and their mean and standard error.
+
+    Returns (err_sq, mean, se); the arithmetic is the single-row loop
+    that scored every row before rows shared their draws.
+    """
+    lam = x.op.slot_eigenvalues
+    residual = method.r(alpha, lam) * x.coefficients
+    d = noise.epsilon * method.q(alpha, lam) * np.sqrt(lam)
+    err_sq = np.empty(n_replicates)
+    w = np.empty(x.op.n_slots)
+    for i in range(n_replicates):
+        noise_generator(noise, i).standard_normal(out=w)
+        np.multiply(d, w, out=w)
+        np.subtract(residual, w, out=w)
+        err_sq[i] = float(w @ w)
+    mean = float(np.mean(err_sq))
+    se = float(np.std(err_sq, ddof=1) / math.sqrt(n_replicates))
+    return err_sq, mean, se

@@ -1,10 +1,10 @@
-"""The det_oracle and vsc_cert benchmark configs still give their
-committed outcomes.
+"""The det_oracle, white_noise_mc and vsc_cert benchmark configs still
+give their committed outcomes.
 
 The benchmark checks every run against perfbench/references; this test
 runs the same configs for input seed 0 through the same check, so a
-changed oracle pick, VSC verdict or residual shows up in the test suite
-first.  It only reads the benchmark's files.
+changed oracle pick, Monte Carlo estimate, VSC verdict or residual shows
+up in the test suite first.  It only reads the benchmark's files.
 """
 
 import importlib.util
@@ -29,7 +29,7 @@ def _load(name: str, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["det_oracle", "vsc_cert"])
+@pytest.mark.parametrize("workload", ["det_oracle", "white_noise_mc", "vsc_cert"])
 def test_matches_its_references(workload, tmp_path, monkeypatch):
     harness = _load("harness", monkeypatch)
     workloads = _load("workloads", monkeypatch)

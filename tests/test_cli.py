@@ -69,6 +69,19 @@ def test_run_refusal_exits_two(tmp_path, capsys):
     assert "refused" in err and "qualification" in err
 
 
+def _white_noise(**noise):
+    """Overrides for a white-noise rate run whose noise block has ``noise``."""
+    return {
+        "operation": "white_noise_rate",
+        "noise": {
+            "kind": "white",
+            "epsilons": [1e-2, 1e-3, 1e-4, 1e-5],
+            "replicates": 10,
+            **noise,
+        },
+    }
+
+
 @pytest.mark.parametrize(
     "over,field",
     [
@@ -96,10 +109,28 @@ def test_run_refusal_exits_two(tmp_path, capsys):
             {"operation": "vsc_certificate", "mu": 0.2, "kappa": {"kind": "nope"}},
             "kappa",
         ),
+        (
+            {"problem": {"kind": "sobolev_scale",
+                         "params": {"N": 1000, "a": float("nan"), "u": 0.5}}},
+            "params.a",
+        ),
+        (_white_noise(replicates=2.5), "noise.replicates"),
+        (_white_noise(replicates=1), "noise.replicates"),
+        (_white_noise(replicates=True), "noise.replicates"),
+        (_white_noise(replicates="10"), "noise.replicates"),
+        (_white_noise(seed=1.5), "noise.seed"),
+        (_white_noise(seed=-1), "noise.seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 0.5}, "seed"),
+        ({"n_probes": 2.5}, "n_probes"),
+        ({"n_probes": -3}, "n_probes"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
-        "element", "kappa",
+        "element", "kappa", "nan_param", "replicates_fraction", "replicates_one",
+        "replicates_bool", "replicates_string", "noise_seed_fraction",
+        "noise_seed_negative", "seed_negative", "seed_fraction",
+        "n_probes_fraction", "n_probes_negative",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):

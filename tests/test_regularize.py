@@ -30,7 +30,7 @@ from specreg.spectral import (
     add_noise,
 )
 
-from oracles import brute_force_worst_case
+from oracles import brute_force_worst_case, monte_carlo_one_row
 
 
 def make_element(eigenvalues, multiplicities, coefficients):
@@ -261,22 +261,55 @@ class TestBreakdowns:
         assert a == b
 
     def test_monte_carlo_uses_per_replicate_streams(self):
-        # replicate i depends only on (seed, i): extending the run keeps
-        # the shared prefix of per-replicate draws identical
-        x = make_element([1.0], [1], [1.0])
+        # replicate i depends only on (seed, i): the first 10 replicates
+        # of a 20-replicate run score exactly as a 10-replicate run does
+        x = make_element([1.0, 0.5], [1, 2], [1.0, 0.4, -0.3])
         m = tikhonov()
         noise = WhiteNoise(epsilon=0.5, seed=11)
+        err_sq, mean, se = monte_carlo_one_row(m, 0.5, x, noise, 20)
         short = mse_monte_carlo(m, 0.5, x, noise, n_replicates=10)
         long = mse_monte_carlo(m, 0.5, x, noise, n_replicates=20)
-        # recompute the short mean from the long run via the identity
-        # mean_10 = 2 * mean_20 - mean(last 10); cannot access raw draws,
-        # so instead check the deterministic stream directly
-        from specreg.spectral import noise_generator
-
-        draws_a = [noise_generator(noise, i).standard_normal(1)[0] for i in range(10)]
-        draws_b = [noise_generator(noise, i).standard_normal(1)[0] for i in range(10)]
-        assert draws_a == draws_b
+        assert short.mean_squared == float(np.mean(err_sq[:10]))
+        assert short.se_mean_squared == float(
+            np.std(err_sq[:10], ddof=1) / math.sqrt(10)
+        )
+        assert (long.mean_squared, long.se_mean_squared) == (mean, se)
         assert short.n_replicates == 10 and long.n_replicates == 20
+
+    def test_monte_carlo_rows_share_draws_bit_for_bit(self):
+        # one call over three rows, one noise-free, gives exactly what
+        # three one-row runs give
+        x = single_layer_circle(2_000, 1.0).x
+        m = tikhonov()
+        alphas = np.array([1e-2, 1e-3, 1e-4])
+        noises = [WhiteNoise(eps, seed=5) for eps in (1e-2, 0.0, 1e-4)]
+        est = mse_monte_carlo(m, alphas, x, noises, n_replicates=40)
+        assert est.n_replicates == 40
+        assert est.mean_squared.shape == (3,)
+        for k, (a, noise) in enumerate(zip(alphas, noises)):
+            _, mean, se = monte_carlo_one_row(m, float(a), x, noise, 40)
+            assert est.mean_squared[k] == mean
+            assert est.se_mean_squared[k] == se
+            assert est.rmse[k] == math.sqrt(mean)
+            one = mse_monte_carlo(m, float(a), x, noise, n_replicates=40)
+            assert (one.mean_squared, one.se_mean_squared) == (mean, se)
+        assert est.se_mean_squared[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha,noise",
+        [
+            ([0.1, 0.2], [WhiteNoise(0.1, seed=1), WhiteNoise(0.1, seed=2)]),
+            ([0.1, 0.2], [WhiteNoise(0.1, seed=1)]),
+            ([0.1], WhiteNoise(0.1, seed=1)),
+            (0.1, [WhiteNoise(0.1, seed=1)]),
+            ([[0.1]], [WhiteNoise(0.1, seed=1)]),
+        ],
+        ids=["mixed_seeds", "too_few_noises", "bare_noise", "listed_noise", "2d"],
+    )
+    def test_monte_carlo_refuses_mismatched_rows(self, alpha, noise):
+        x = make_element([1.0], [2], [1.0, -1.0])
+        with pytest.raises(ValueError):
+            mse_monte_carlo(tikhonov(), alpha, x, noise, n_replicates=10)
 
     def test_add_noise_roundtrip_with_breakdown(self):
         # one concrete deterministic perturbation never beats the sup

@@ -62,6 +62,10 @@ class TestOperator:
         np.testing.assert_array_equal(op.multiplicities, [1, 2])
         with pytest.raises(ValueError, match="nonempty"):
             SpectralOperator.from_levels(np.array([]))
+        # every comparison with NaN is false, so order checks alone pass it
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                SpectralOperator.from_levels(np.array(bad))
 
     def test_from_levels_matches_merge_loop(self):
         rng = np.random.default_rng(11)
