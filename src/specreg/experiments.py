@@ -67,6 +67,7 @@ from .regularize import (
 )
 from .spectral import (
     DeterministicNoise,
+    SpectralElement,
     WhiteNoise,
     add_noise,
     xtk_norm,
@@ -776,16 +777,19 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
 
     g = x.with_coefficients(np.sqrt(lam) * x.coefficients)
 
-    def rule_row(item) -> RateRow:
-        idx, delta = item
-        noise = DeterministicNoise(delta)
+    def rule_data(idx: int, noise: DeterministicNoise) -> SpectralElement:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=_DET_DATA_ENTROPY, spawn_key=(idx,))
         )
         xi = rng.standard_normal(op.n_slots)
-        xi *= delta / float(np.linalg.norm(xi))
-        data = add_noise(g, noise, xi=xi)
-        choice = rule(method, data, noise, alphas, x_true=x)
+        xi *= noise.delta / float(np.linalg.norm(xi))
+        return add_noise(g, noise, xi=xi)
+
+    def rule_row(item) -> RateRow:
+        idx, delta = item
+        noise = DeterministicNoise(delta)
+        # the data dies with the rule call, before the row is scored
+        choice = rule(method, rule_data(idx, noise), noise, alphas, x_true=x)
         bd = error_breakdown(method, choice.alpha, x, noise)
         return RateRow(
             level=delta,

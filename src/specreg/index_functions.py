@@ -82,11 +82,18 @@ class IndexFunction:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         self._check_domain(arr)
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            out[pos] = self._eval_positive(arr[pos])
+        out = self.unchecked(arr)
         return float(out[0]) if scalar else out
+
+    def unchecked(self, t: np.ndarray) -> np.ndarray:
+        """Values on a 1-d float array without the domain check, for
+        points inside a positive bracket whose ends were checked: the
+        positive part of the domain is an interval, so they lie in it."""
+        out = np.zeros_like(t)
+        pos = t > 0
+        if np.any(pos):
+            out[pos] = self._eval_positive(t[pos])
+        return out
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -240,8 +247,12 @@ class ComposedIndex(IndexFunction):
     def strictly_increasing(self) -> bool:
         return self.base.strictly_increasing
 
+    def _check_domain(self, t):
+        super()._check_domain(t)
+        self.base._check_domain(self.arg_scale * t)
+
     def _eval_positive(self, t):
-        return self.scale * np.asarray(self.base(self.arg_scale * t)) ** self.power
+        return self.scale * self.base.unchecked(self.arg_scale * t) ** self.power
 
     def to_dict(self):
         return {
@@ -282,8 +293,12 @@ class CappedIndex(IndexFunction):
     def strictly_increasing(self) -> bool:
         return False
 
+    def _check_domain(self, t):
+        super()._check_domain(t)
+        self.base._check_domain(np.minimum(t, self.cap_at))
+
     def _eval_positive(self, t):
-        return np.asarray(self.base(np.minimum(t, self.cap_at)))
+        return self.base.unchecked(np.minimum(t, self.cap_at))
 
     def to_dict(self):
         return {
@@ -321,6 +336,11 @@ def theta(f: IndexFunction, lam):
     arr = np.asarray(lam, dtype=float)
     vals = np.sqrt(arr) * np.asarray(f(arr))
     return float(vals) if arr.ndim == 0 else vals
+
+
+def _theta_in_bracket(f: IndexFunction, lam: np.ndarray) -> np.ndarray:
+    """Theta at the trial points of a bracket whose ends were checked."""
+    return np.sqrt(lam) * f.unchecked(lam)
 
 
 def _floor(f: IndexFunction) -> float:
@@ -365,7 +385,7 @@ def _theta_inverse_bulk(f: IndexFunction, y: np.ndarray, tol: float) -> np.ndarr
     if np.any(y * (1 + tol) < theta(f, floor)):
         raise OutOfRangeError("target below the resolvable range")
     return bracketed_roots(
-        lambda t: theta(f, t), y, floor, hi, increasing=True, tol=tol
+        lambda t: _theta_in_bracket(f, t), y, floor, hi, increasing=True, tol=tol
     )[0]
 
 
@@ -380,7 +400,7 @@ def psi_kappa(f: IndexFunction, t, tol: float = 1e-12):
     pos = arr > 0
     if np.any(pos):
         lam = _theta_inverse_bulk(f, np.sqrt(arr[pos]), tol)
-        out[pos] = np.asarray(f(lam), dtype=float) ** 2
+        out[pos] = f.unchecked(lam) ** 2
     return float(out[0]) if scalar else out
 
 
@@ -468,7 +488,7 @@ class PsiProfile:
         idx = np.clip(np.searchsorted(self.theta_table, y), 1, len(self.lam_table) - 1)
         lo, hi = self.lam_table[idx - 1], self.lam_table[idx]
         return bracketed_roots(
-            lambda t: theta(self.kappa, t), y, lo, hi, increasing=True
+            lambda t: _theta_in_bracket(self.kappa, t), y, lo, hi, increasing=True
         )[0]
 
     def eval_many(self, t: np.ndarray, clamp: bool = False) -> np.ndarray:
@@ -484,7 +504,7 @@ class PsiProfile:
         pos = t > 0
         if np.any(pos):
             lam = self.theta_inverse_many(np.sqrt(t[pos]))
-            out[pos] = np.asarray(self.kappa(lam)) ** 2
+            out[pos] = self.kappa.unchecked(lam) ** 2
         return out
 
     def eval(self, t: float, clamp: bool = False) -> float:

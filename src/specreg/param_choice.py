@@ -48,6 +48,9 @@ __all__ = [
     "oracle_rule",
 ]
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
 
 @dataclasses.dataclass(frozen=True)
 class AlphaChoice:
@@ -104,20 +107,51 @@ def choose_discrepancy(
     tau: float = 2.0,
 ) -> AlphaChoice:
     """Largest grid alpha whose data residual ||r_alpha(T T*) y|| stays
-    within tau * delta.  The residual is nondecreasing in alpha, so the
-    scan walks down from the top; if even the smallest alpha overshoots
-    the budget the choice is flagged."""
+    within tau * delta; if even the smallest alpha overshoots the budget
+    the choice is flagged.
+
+    The residual is nondecreasing in alpha, so the grid index is found by
+    bisection: O(log G) residuals on a grid of G points instead of up to
+    G.  Each is first the level sum sqrt(sum_l r(alpha, lam_l)^2 m_l) over
+    the level masses m_l of y.  Level sums and
+    norms over all n slots round differently, by less than
+    2 (n + 5) eps times the residual plus a square-root underflow floor;
+    a level sum within that margin of the budget is replaced by the slot
+    norm ||r_alpha(lam) y||, so every residual the bisection tests gets
+    the slot norm's verdict.  Bisection still trusts a monotonicity that
+    holds exactly but not in rounded arithmetic: an ulp-level dip of the
+    computed slot norms across the budget could give a different index
+    than a top-down scan.
+    """
     if tau <= 1:
         raise ValueError("tau must exceed 1")
     a = _ascending(alphas)
-    lam = data.op.slot_eigenvalues
-    y = data.coefficients
     threshold = tau * delta
-    for i in range(a.size - 1, -1, -1):
-        res = float(np.linalg.norm(method.r(a[i], lam) * y))
-        if res <= threshold:
-            return AlphaChoice(float(a[i]), i)
-    return AlphaChoice(float(a[0]), 0, "no_alpha_met_discrepancy")
+    lam, y = data.op.slot_eigenvalues, data.coefficients
+    lam_level = data.op.eigenvalues
+    # not data.level_mass: caching it would keep it alive as long as the
+    # caller keeps the data
+    mass = data.op.level_sums(y**2)
+    n = y.size
+    y_max = float(np.max(np.abs(y)))
+    floor = 2.0 * math.sqrt(n * (2.0 + y_max + y_max * y_max) * _TINY)
+
+    def within(i: int) -> bool:
+        res = math.sqrt(float(np.sum(method.r(a[i], lam_level) ** 2 * mass)))
+        if abs(res - threshold) > 2.0 * (n + 5) * _EPS * res + floor:
+            return res <= threshold
+        return float(np.linalg.norm(method.r(a[i], lam) * y)) <= threshold
+
+    lo, hi = -1, a.size  # the budget is met at lo (if >= 0), missed at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo < 0:
+        return AlphaChoice(float(a[0]), 0, "no_alpha_met_discrepancy")
+    return AlphaChoice(float(a[lo]), lo)
 
 
 def _lepskii_scale(
@@ -144,30 +178,67 @@ def choose_lepskii(
     within constant * s(alpha') of every reconstruction at smaller alpha',
     where s is the noise propagation scale of the respective model.
 
-    Pairwise distances are assembled from per-level sums, so the cost is
-    O(G^2 * #levels) at worst but stops at the first violation.
+    The pick is that of the pairwise loop: candidate i passes when
+    sqrt(sum_l (q_i - q_j)^2 w_l) <= scale_j for every j < i, with q_i
+    the q row of alpha_i over the L levels and w_l = lam_l times the
+    level mass of the data, and the scan stops at the first candidate
+    that fails.  Per candidate it costs one q row and one BLAS
+    matrix-vector product g = Q[:i] @ (w q_i) against the accepted rows,
+    O(G^2 L) flops at worst on a grid of G points.  The distances
+    D_j + D_i - 2 g_j of that weighted Gram form, with D_j = q_j . (w q_j),
+    cancel badly for close rows, so they only sort the pairs: the
+    rounding error of the Gram form and of the direct sum, in any
+    summation order, stays below 4 (L + 2) eps (D_i + D_j + 2 |g_j|),
+    plus half a subnormal per product that underflows; 4 eps scale_j^2
+    more covers rounding the square and the root.  A pair whose Gram
+    distance lies within that margin of scale_j^2, and every pair of a
+    candidate whose entries could overflow, is decided again by the
+    direct sum, so the pick equals the loop's bit for bit.  Gram values
+    only decide; they never enter a report.
     """
     a = _ascending(alphas)
-    op = data.op
-    lam_level = op.eigenvalues
-    y2_level = data.level_mass
-    weights = lam_level * y2_level
+    lam = data.op.eigenvalues
+    weights = lam * data.level_mass
     scale = constant * _lepskii_scale(method, noise, data, a)
     if not np.all(scale > 0):
         return AlphaChoice(float(a[0]), 0, "degenerate_noise_scale")
-    q_rows = [method.q(a[0], lam_level)]
+    scale_sq = scale**2
+    n = lam.size + 2
+    rel = 4.0 * n * _EPS
+    w_max = float(np.max(weights))
+    # rows past the first failing candidate are never written, so they
+    # never become resident
+    q = np.empty((a.size, lam.size))
+    gram_diag = np.empty(a.size)
+    q_max = 0.0
     best = 0
-    for i in range(1, a.size):
-        q_i = method.q(a[i], lam_level)
-        ok = True
-        for j in range(i):
-            diff_sq = float(np.sum((q_i - q_rows[j]) ** 2 * weights))
-            if math.sqrt(diff_sq) > scale[j]:
-                ok = False
+    for i in range(a.size):
+        q_i = q[i]
+        q_i[:] = method.q(a[i], lam)
+        q_max = max(q_max, float(np.max(np.abs(q_i))))
+        wq = weights * q_i
+        d_i = float(q_i @ wq)
+        g = q[:i] @ wq
+        s2 = scale_sq[:i]
+        # below this bound no sum, product or square of either form overflows
+        if n * (4.0 * q_max * q_max) * (1.0 + w_max) < 1e300:
+            dist = gram_diag[:i] + d_i - 2.0 * g
+            margin = (
+                rel * (gram_diag[:i] + d_i + 2.0 * np.abs(g))
+                + 4.0 * _EPS * s2
+                + n * (8.0 + 4.0 * q_max + w_max) * _TINY
+            )
+            if np.any(dist - margin > s2):
                 break
-        if not ok:
+            unsure = np.flatnonzero(~(dist + margin < s2))
+        else:
+            unsure = range(i)
+        if any(
+            math.sqrt(float(np.sum((q_i - q[j]) ** 2 * weights))) > scale[j]
+            for j in unsure
+        ):
             break
-        q_rows.append(q_i)
+        gram_diag[i] = d_i
         best = i
     return AlphaChoice(float(a[best]), best)
 

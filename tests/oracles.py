@@ -1,16 +1,20 @@
-"""Brute-force reference maximizers used to cross-check analytic solvers.
+"""Brute-force references used to cross-check the package's solvers.
 
 Kept independent of the package internals: the worst-case oracle never
 forms the secular equation, it climbs the sphere directly, the
-falsification references form every probe vector explicitly, and the
-Monte Carlo reference scores one row at a time with its own draws.
+falsification references form every probe vector explicitly, the
+Monte Carlo reference scores one row at a time with its own draws, and
+the choice-rule references are the plain loops over grid points and
+pairs of grid points.
 """
 
 import math
 
 import numpy as np
 
-from specreg.spectral import noise_generator
+from specreg.param_choice import AlphaChoice
+from specreg.regularize import variance_trace
+from specreg.spectral import DeterministicNoise, noise_generator
 
 
 def brute_force_worst_case(
@@ -161,3 +165,50 @@ def monte_carlo_one_row(method, alpha, x, noise, n_replicates):
     mean = float(np.mean(err_sq))
     se = float(np.std(err_sq, ddof=1) / math.sqrt(n_replicates))
     return err_sq, mean, se
+
+
+def discrepancy_scan(method, data, delta, alphas, tau=2.0):
+    """Discrepancy choice by a top-down scan of slot norms: the largest
+    grid alpha with ||r_alpha(lam) y|| <= tau * delta over all slots,
+    flagged at the smallest alpha when none qualifies."""
+    a = np.asarray(alphas, dtype=float)
+    lam = data.op.slot_eigenvalues
+    y = data.coefficients
+    threshold = tau * delta
+    for i in range(a.size - 1, -1, -1):
+        res = float(np.linalg.norm(method.r(a[i], lam) * y))
+        if res <= threshold:
+            return AlphaChoice(float(a[i]), i)
+    return AlphaChoice(float(a[0]), 0, "no_alpha_met_discrepancy")
+
+
+def lepskii_pairwise(method, data, noise, alphas, constant=4.0):
+    """Lepskii choice by the double loop over pairs: candidate i passes
+    when sqrt(sum over levels of (q_i - q_j)^2 lam m) <= constant * s_j
+    for every j < i, with m the level masses of the data and s the noise
+    propagation scale; the scan stops at the first failing candidate."""
+    a = np.asarray(alphas, dtype=float)
+    lam_level = data.op.eigenvalues
+    weights = lam_level * data.level_mass
+    if isinstance(noise, DeterministicNoise):
+        base = noise.delta * np.sqrt(method.c_q / a)
+    else:
+        base = noise.epsilon * np.sqrt(variance_trace(method, a, data.op))
+    scale = constant * base
+    if not np.all(scale > 0):
+        return AlphaChoice(float(a[0]), 0, "degenerate_noise_scale")
+    q_rows = [method.q(a[0], lam_level)]
+    best = 0
+    for i in range(1, a.size):
+        q_i = method.q(a[i], lam_level)
+        ok = True
+        for j in range(i):
+            diff_sq = float(np.sum((q_i - q_rows[j]) ** 2 * weights))
+            if math.sqrt(diff_sq) > scale[j]:
+                ok = False
+                break
+        if not ok:
+            break
+        q_rows.append(q_i)
+        best = i
+    return AlphaChoice(float(a[best]), best)

@@ -1,10 +1,11 @@
-"""The det_oracle, white_noise_mc and vsc_cert benchmark configs still
-give their committed outcomes.
+"""The configs of all four benchmark workloads still give their committed
+outcomes.
 
 The benchmark checks every run against perfbench/references; this test
 runs the same configs for input seed 0 through the same check, so a
-changed oracle pick, Monte Carlo estimate, VSC verdict or residual shows
-up in the test suite first.  It only reads the benchmark's files.
+changed oracle pick, Lepskii or discrepancy pick, Monte Carlo estimate,
+VSC verdict or residual shows up in the test suite first.  It only reads
+the benchmark's files.
 """
 
 import importlib.util
@@ -29,7 +30,9 @@ def _load(name: str, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["det_oracle", "white_noise_mc", "vsc_cert"])
+@pytest.mark.parametrize(
+    "workload", ["det_oracle", "white_noise_mc", "rule_choice", "vsc_cert"]
+)
 def test_matches_its_references(workload, tmp_path, monkeypatch):
     harness = _load("harness", monkeypatch)
     workloads = _load("workloads", monkeypatch)

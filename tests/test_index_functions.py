@@ -72,6 +72,30 @@ class TestEval:
         assert f(2.0) == 0.5
         assert not f.strictly_increasing
 
+    def test_unchecked_values_equal_checked_ones(self):
+        table = TabulatedIndex(np.array([[1e-4, 1e-2], [1e-2, 1e-1], [1.0, 1.0]]))
+        fns = [
+            PowerIndex(0.75),
+            LogPowerIndex(p=0.5, shift=1.2),
+            table,
+            ComposedIndex(LogPowerIndex(p=1.0, shift=3.0), scale=1.4, power=2.0),
+            ComposedIndex(table, arg_scale=4.0),
+            CappedIndex(table, cap_at=0.5),
+        ]
+        for f in fns:
+            lo, hi = max(f.domain_min, 1e-9), min(f.domain_max, 2.0)
+            t = np.concatenate([[0.0], np.geomspace(lo, hi, 97)])
+            np.testing.assert_array_equal(f.unchecked(t), f(t))
+
+    def test_wrappers_check_the_domain_of_their_base(self):
+        # t = 1 passes the wrapper's own domain_max test, with its 1e-12
+        # slack, but is outside the log-power base (t < e^shift = 1)
+        with pytest.raises(DomainError, match="exp"):
+            ComposedIndex(LogPowerIndex(p=1.0, shift=0.0))(1.0)
+        table = TabulatedIndex(np.array([[1e-4, 1e-2], [1.0, 1.0]]))
+        with pytest.raises(DomainError, match="below the tabulated range"):
+            CappedIndex(table, cap_at=0.5)(1e-6)
+
     def test_serialization_round_trip(self):
         fns = [
             PowerIndex(0.75),

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import discrepancy_scan, lepskii_pairwise
 
 from specreg.errors import DomainError
-from specreg.filters import landweber, tikhonov
+from specreg.filters import iterated_tikhonov, landweber, showalter, tikhonov
 from specreg.index_functions import PowerIndex, theta_inverse
 from specreg.param_choice import (
     a_priori_rule,
@@ -25,6 +26,7 @@ from specreg.spectral import (
     SpectralElement,
     SpectralOperator,
     WhiteNoise,
+    add_noise,
 )
 
 
@@ -153,6 +155,138 @@ class TestLepskii:
             tikhonov(), data, WhiteNoise(epsilon=1e-3, seed=0), grid
         )
         assert 0 <= choice.index < grid.size
+
+    @pytest.mark.parametrize(
+        "method",
+        [tikhonov(), showalter(), iterated_tikhonov(2), landweber(0.9)],
+        ids=lambda m: m.name,
+    )
+    def test_ties_at_the_threshold_match_the_loop(self, method):
+        # constant is set so that scale_0 equals the loop's computed
+        # distance of a pair (i, 0) to the last bit, where some constant
+        # within 3 ulps of dist / base does that: the Gram form cannot
+        # tell such a tie apart, the direct recheck can
+        x = sobolev_like(n_levels=30)
+        lam = x.op.slot_eigenvalues
+        data = x.with_coefficients(np.sqrt(lam) * x.coefficients)
+        grid = np.geomspace(0.2, 0.25, 12)
+        noise = DeterministicNoise(0.5)
+        base = noise.delta * np.sqrt(method.c_q / grid[0])
+        weights = x.op.eigenvalues * data.level_mass
+        q0 = method.q(grid[0], x.op.eigenvalues)
+        decisive = 0
+        for i in range(1, grid.size):
+            qi = method.q(grid[i], x.op.eigenvalues)
+            dist = math.sqrt(float(np.sum((qi - q0) ** 2 * weights)))
+            ties = [c for c in _neighbours(dist / base) if c * base == dist]
+            for c in ties:
+                below = np.nextafter(c, 0.0)
+                for constant in (c, below):
+                    got = choose_lepskii(method, data, noise, grid, constant)
+                    assert got == lepskii_pairwise(
+                        method, data, noise, grid, constant
+                    )
+                decisive += lepskii_pairwise(
+                    method, data, noise, grid, below
+                ).index < i <= lepskii_pairwise(method, data, noise, grid, c).index
+        assert decisive >= 3
+
+
+def _neighbours(c: float, ulps: int = 3) -> list[float]:
+    out = [c]
+    lo = hi = c
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def random_rule_case(rng: np.random.Generator):
+    """A random fixture, method, grid, noise draw and rule constants.
+
+    Levels, multiplicities, coefficient decay and signs, the grid span
+    and size, the noise level (exactly zero now and then) and the rule
+    constants are spread so that picks land anywhere on the grid and
+    every flag occurs.
+    """
+    n_levels = int(rng.integers(1, 40))
+    lam = np.unique(10.0 ** rng.uniform(-8.0, 0.0, n_levels))[::-1]
+    mult = rng.integers(1, 4, lam.size)
+    op = SpectralOperator(lam, mult)
+    freq = np.repeat(np.arange(1, lam.size + 1, dtype=float), mult)
+    signs = rng.choice([-1.0, 1.0], op.n_slots)
+    x = SpectralElement(op, signs * freq ** -rng.uniform(0.5, 3.0))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        method = tikhonov()
+    elif kind == 1:
+        method = showalter()
+    elif kind == 2:
+        method = iterated_tikhonov(int(rng.integers(1, 4)))
+    else:
+        step = float(rng.uniform(0.2, 1.0)) * min(1.0, 1.0 / lam[0])
+        method = landweber(step, op_norm_sq=lam[0])
+    top = min(10.0 ** rng.uniform(-3.0, 1.0), method.alpha_max)
+    span = 10.0 ** rng.uniform(1.0, 8.0)
+    grid = np.geomspace(top / span, top, rng.integers(2, 30))
+    clean = x.with_coefficients(np.sqrt(op.slot_eigenvalues) * x.coefficients)
+    level = 0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-9.0, 0.0)
+    if rng.random() < 0.5:
+        noise = DeterministicNoise(level)
+        xi = rng.standard_normal(op.n_slots)
+        data = add_noise(clean, noise, xi=level * xi / np.linalg.norm(xi))
+    else:
+        noise = WhiteNoise(level, seed=int(rng.integers(1000)))
+        data = add_noise(clean, noise, replicate=int(rng.integers(10)))
+    constant = 10.0 ** rng.uniform(-1.0, 3.0)
+    tau = float(rng.uniform(1.01, 5.0))
+    budget = clean.norm() * 10.0 ** rng.uniform(-4.0, 0.5)
+    return method, data, noise, grid, constant, tau, budget
+
+
+def _where(choice, grid) -> str:
+    if choice.flag:
+        return choice.flag
+    return {0: "first", grid.size - 1: "last"}.get(choice.index, "inside")
+
+
+class TestAgainstLoopReferences:
+    """Both rules pick exactly what the plain loops over grid points and
+    pairs of grid points pick, on random fixtures of every shape."""
+
+    N_CASES = 240
+
+    def test_lepskii_matches_the_pairwise_loop(self):
+        rng = np.random.default_rng(20160317)
+        seen = set()
+        for _ in range(self.N_CASES):
+            method, data, noise, grid, constant, _, _ = random_rule_case(rng)
+            got = choose_lepskii(method, data, noise, grid, constant)
+            assert got == lepskii_pairwise(method, data, noise, grid, constant)
+            seen.add(_where(got, grid))
+        assert seen == {"first", "inside", "last", "degenerate_noise_scale"}
+
+    def test_discrepancy_matches_the_top_down_scan(self):
+        rng = np.random.default_rng(20160318)
+        seen = set()
+        for _ in range(self.N_CASES):
+            method, data, _, grid, _, tau, budget = random_rule_case(rng)
+            got = choose_discrepancy(method, data, budget, grid, tau)
+            assert got == discrepancy_scan(method, data, budget, grid, tau)
+            seen.add(_where(got, grid))
+        assert seen == {"first", "inside", "last", "no_alpha_met_discrepancy"}
+
+    def test_discrepancy_ties_with_slot_norms_match_the_scan(self):
+        # budgets equal to a computed slot norm, one per grid point: the
+        # level sums round differently and must hand these to the slot norm
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            method, data, _, grid, _, _, _ = random_rule_case(rng)
+            lam = data.op.slot_eigenvalues
+            for a in grid:
+                res = float(np.linalg.norm(method.r(a, lam) * data.coefficients))
+                got = choose_discrepancy(method, data, res / 2.0, grid, 2.0)
+                assert got == discrepancy_scan(method, data, res / 2.0, grid, 2.0)
 
 
 class TestDeltaSet:
