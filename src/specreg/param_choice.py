@@ -50,6 +50,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
+# the Lepskii q table is reserved up to this size at once
+_Q_TABLE_BYTES = 16 * 1024 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,35 +113,20 @@ def choose_discrepancy(
     the choice is flagged.
 
     The residual is nondecreasing in alpha, so the grid index is found by
-    bisection: O(log G) residuals on a grid of G points instead of up to
-    G.  Each is first the level sum sqrt(sum_l r(alpha, lam_l)^2 m_l) over
-    the level masses m_l of y.  Level sums and
-    norms over all n slots round differently, by less than
-    2 (n + 5) eps times the residual plus a square-root underflow floor;
-    a level sum within that margin of the budget is replaced by the slot
-    norm ||r_alpha(lam) y||, so every residual the bisection tests gets
-    the slot norm's verdict.  Bisection still trusts a monotonicity that
-    holds exactly but not in rounded arithmetic: an ulp-level dip of the
-    computed slot norms across the budget could give a different index
-    than a top-down scan.
+    bisection: O(log G) slot norms ||r_alpha(lam) y|| on a grid of G points
+    instead of up to G in a top-down scan, each computed as the scan
+    computes it, so every grid point the bisection tests gets the scan's
+    verdict.  Bisection still trusts a monotonicity that holds exactly but
+    not in rounded arithmetic: an ulp-level dip of the computed norms
+    across the budget could give a different index than a top-down scan.
     """
     if tau <= 1:
         raise ValueError("tau must exceed 1")
     a = _ascending(alphas)
     threshold = tau * delta
     lam, y = data.op.slot_eigenvalues, data.coefficients
-    lam_level = data.op.eigenvalues
-    # not data.level_mass: caching it would keep it alive as long as the
-    # caller keeps the data
-    mass = data.op.level_sums(y**2)
-    n = y.size
-    y_max = float(np.max(np.abs(y)))
-    floor = 2.0 * math.sqrt(n * (2.0 + y_max + y_max * y_max) * _TINY)
 
     def within(i: int) -> bool:
-        res = math.sqrt(float(np.sum(method.r(a[i], lam_level) ** 2 * mass)))
-        if abs(res - threshold) > 2.0 * (n + 5) * _EPS * res + floor:
-            return res <= threshold
         return float(np.linalg.norm(method.r(a[i], lam) * y)) <= threshold
 
     lo, hi = -1, a.size  # the budget is met at lo (if >= 0), missed at hi
@@ -184,9 +171,10 @@ def choose_lepskii(
     level mass of the data, and the scan stops at the first candidate
     that fails.  Per candidate it costs one q row and one BLAS
     matrix-vector product g = Q[:i] @ (w q_i) against the accepted rows,
-    O(G^2 L) flops at worst on a grid of G points.  The distances
-    D_j + D_i - 2 g_j of that weighted Gram form, with D_j = q_j . (w q_j),
-    cancel badly for close rows, so they only sort the pairs: the
+    O(G^2 L) flops at worst on a grid of G points, and a table of the
+    accepted q rows.  The distances D_j + D_i - 2 g_j of that weighted
+    Gram form, with D_j = q_j . (w q_j), cancel badly for close rows, so
+    they only sort the pairs: the
     rounding error of the Gram form and of the direct sum, in any
     summation order, stays below 4 (L + 2) eps (D_i + D_j + 2 |g_j|),
     plus half a subnormal per product that underflows; 4 eps scale_j^2
@@ -207,12 +195,18 @@ def choose_lepskii(
     rel = 4.0 * n * _EPS
     w_max = float(np.max(weights))
     # rows past the first failing candidate are never written, so they
-    # never become resident
-    q = np.empty((a.size, lam.size))
+    # never become resident; past _Q_TABLE_BYTES the table is grown by
+    # doubling instead of being reserved for the whole grid at once
+    rows = min(a.size, max(1, _Q_TABLE_BYTES // (8 * lam.size)))
+    q = np.empty((rows, lam.size))
     gram_diag = np.empty(a.size)
     q_max = 0.0
     best = 0
     for i in range(a.size):
+        if i == q.shape[0]:
+            grown = np.empty((min(a.size, 2 * i), lam.size))
+            grown[:i] = q
+            q = grown
         q_i = q[i]
         q_i[:] = method.q(a[i], lam)
         q_max = max(q_max, float(np.max(np.abs(q_i))))

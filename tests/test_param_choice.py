@@ -266,6 +266,44 @@ class TestAgainstLoopReferences:
             seen.add(_where(got, grid))
         assert seen == {"first", "inside", "last", "degenerate_noise_scale"}
 
+    def test_lepskii_growing_table_matches_the_pairwise_loop(self, monkeypatch):
+        # a one-row reservation makes the q table double at rows 1, 2, 4, ...
+        monkeypatch.setattr("specreg.param_choice._Q_TABLE_BYTES", 8)
+        rng = np.random.default_rng(20160319)
+        deepest = 0
+        for _ in range(80):
+            method, data, noise, grid, constant, _, _ = random_rule_case(rng)
+            got = choose_lepskii(method, data, noise, grid, constant)
+            assert got == lepskii_pairwise(method, data, noise, grid, constant)
+            deepest = max(deepest, got.index)
+        assert deepest >= 16
+
+    @pytest.mark.parametrize(
+        "method", [tikhonov(), iterated_tikhonov(2), showalter()],
+        ids=lambda m: m.name,
+    )
+    def test_lepskii_overflow_guard_matches_the_pairwise_loop(self, method):
+        # a level of 1e-150 under a grid that starts at 1e-160 gives q
+        # entries near 1e150, whose squares times 4 L pass 1e300: every candidate goes to the direct sum, none to the Gram
+        # form, and nothing overflows in either
+        lam = np.append(1.0 / np.arange(1, 21, dtype=float) ** 2, 1e-150)
+        coeff = np.arange(1, lam.size + 1, dtype=float) ** -1.5
+        op = SpectralOperator(lam, np.ones(lam.size, dtype=np.int64))
+        data = SpectralElement(op, np.sqrt(lam) * coeff)
+        grid = np.concatenate(
+            [np.geomspace(1e-160, 1e-100, 10), np.geomspace(1e-6, 0.1, 30)]
+        )
+        q_max = float(np.max(method.q(grid[0], lam)))
+        assert 4.0 * lam.size * q_max**2 >= 1e300
+        picks = set()
+        for constant in (1e-3, 0.1, 1.0, 4.0, 100.0, 1e4):
+            for delta in (1e-6, 1e-3, 0.1):
+                noise = DeterministicNoise(delta)
+                got = choose_lepskii(method, data, noise, grid, constant)
+                assert got == lepskii_pairwise(method, data, noise, grid, constant)
+                picks.add(got.index)
+        assert len(picks) >= 5 and min(picks) < grid.size - 1
+
     def test_discrepancy_matches_the_top_down_scan(self):
         rng = np.random.default_rng(20160318)
         seen = set()
@@ -277,8 +315,8 @@ class TestAgainstLoopReferences:
         assert seen == {"first", "inside", "last", "no_alpha_met_discrepancy"}
 
     def test_discrepancy_ties_with_slot_norms_match_the_scan(self):
-        # budgets equal to a computed slot norm, one per grid point: the
-        # level sums round differently and must hand these to the slot norm
+        # budgets equal to a computed slot norm, one per grid point: each
+        # tie must get the scan's verdict
         rng = np.random.default_rng(5)
         for _ in range(20):
             method, data, _, grid, _, _, _ = random_rule_case(rng)
