@@ -409,6 +409,17 @@ def _resolve_rule(spec: dict, kappa: IndexFunction):
     raise DomainError(f"unknown rule kind {kind!r}")
 
 
+def _default_span(op, method: FilterMethod) -> tuple[float, float]:
+    lo = float(op.eigenvalues[-1]) / 10.0
+    hi = float(op.eigenvalues[0]) * 10.0
+    if math.isfinite(method.alpha_max):
+        hi = max(hi, method.alpha_max)
+    hi = min(hi, method.alpha_max)
+    if not 0 < lo < hi:
+        raise DomainError("degenerate alpha span")
+    return lo, hi
+
+
 def default_alpha_grid(op, method: FilterMethod) -> np.ndarray:
     """Log-uniform grid, 40 points per decade, spanning the spectrum.
 
@@ -417,13 +428,7 @@ def default_alpha_grid(op, method: FilterMethod) -> np.ndarray:
     admissible 1/k, deduplicated, so the grid stays log-uniform until the
     iteration counts become small.
     """
-    lo = float(op.eigenvalues[-1]) / 10.0
-    hi = float(op.eigenvalues[0]) * 10.0
-    if math.isfinite(method.alpha_max):
-        hi = max(hi, method.alpha_max)
-    hi = min(hi, method.alpha_max)
-    if not 0 < lo < hi:
-        raise DomainError("degenerate alpha span")
+    lo, hi = _default_span(op, method)
     n = int(math.ceil(math.log10(hi / lo) * _POINTS_PER_DECADE)) + 1
     grid = np.geomspace(lo, hi, n)
     if method.snaps_to_iteration_grid:
@@ -664,11 +669,27 @@ def _jsonable(obj):
     return obj
 
 
-def _resolved_config(cfg: ExperimentConfig, op, method, rule_echo, alphas):
+def _resolved_config(cfg: ExperimentConfig, op, method, rule_echo, alphas=None):
+    """The config as run, with method constants, rule parameters and the
+    fixture's truncation note resolved.
+
+    An explicit alpha grid is echoed as given.  The default grid
+    ``alphas`` of a run is echoed by its spec (ends, points per decade,
+    count, iteration snapping) rather than point by point; ``from_dict``
+    ignores the spec, so the echo rebuilds the same grid.
+    """
     d = cfg.to_dict()
     d["method"] = method.to_dict()
     d["rule"] = rule_echo
-    d["alpha_grid"] = [float(a) for a in alphas]
+    if alphas is not None and cfg.alpha_grid is None:
+        lo, hi = _default_span(op, method)
+        d["alpha_grid_spec"] = {
+            "lo": lo,
+            "hi": hi,
+            "points_per_decade": _POINTS_PER_DECADE,
+            "count": int(alphas.size),
+            "snaps_to_iterations": method.snaps_to_iteration_grid,
+        }
     d["truncation_note"] = op.truncation_note
     return d
 
@@ -1041,9 +1062,7 @@ def run_bias_decay(cfg: ExperimentConfig) -> RateReport:
         rows=rows,
         fit=None,
         verdicts=verdicts,
-        config=_resolved_config(
-            cfg, op, method, {"kind": "none"}, sweep
-        ),
+        config=_resolved_config(cfg, op, method, {"kind": "none"}, alphas),
         notes=(
             "rows sweep alpha itself; level column is alpha",
             "ratio statistics use the full sweep: the truncated fixture "
@@ -1067,9 +1086,7 @@ def run_vsc_certificate(cfg: ExperimentConfig) -> RateReport:
         kappa = _field("kappa", index_function_from_dict, cfg.kappa)
     if cfg.mu is None:
         raise DomainError("vsc_certificate needs mu in (0, 1)")
-    config = _resolved_config(
-        cfg, op, method, {"kind": "none"}, np.array([])
-    )
+    config = _resolved_config(cfg, op, method, {"kind": "none"})
     try:
         profile = decay_to_vsc(x, op, kappa, cfg.mu)
     except DomainError as exc:

@@ -19,6 +19,7 @@ from .errors import DomainError, OutOfRangeError
 from .filters import FilterMethod
 from .index_functions import IndexFunction, theta_inverse
 from .regularize import (
+    _worst_case_rows,
     bias,
     error_breakdown,
     propagation_norm,
@@ -279,7 +280,12 @@ def grid_inf_error(
 
     Deterministic grids are pruned with the sandwich
     max(bias, ||R|| delta) <= worst case <= bias + ||R|| delta
-    before solving the exact problem on the survivors.  Returns
+    before the exact problem is solved on the survivors, all of them in
+    one call of the row kernel of ``regularize``: their secular
+    equations are solved together in blocks of rows, so the per-solve
+    bookkeeping is paid once per block.  The first survivor of least
+    value wins, and its value is reported through ``worst_case_error``,
+    which gives that row the same value bit for bit.  Returns
     (AlphaChoice, value).
     """
     alphas = _ascending(alphas)
@@ -297,13 +303,11 @@ def grid_inf_error(
     lb = np.maximum(bias_arr, prop_arr * delta)
     ub = bias_arr + prop_arr * delta
     cutoff = float(np.min(ub))
-    candidates = np.nonzero(lb <= cutoff)[0]
-    best_i, best_v = -1, math.inf
-    for i in candidates:
-        v = worst_case_error(method, float(alphas[i]), x, delta).value
-        if v < best_v:
-            best_i, best_v = int(i), v
-    return AlphaChoice(float(alphas[best_i]), best_i), best_v
+    candidates = np.flatnonzero(lb <= cutoff)
+    values = _worst_case_rows(method, alphas[candidates], x, delta).value
+    best = int(candidates[np.argmin(values)])
+    alpha = float(alphas[best])
+    return AlphaChoice(alpha, best), worst_case_error(method, alpha, x, delta).value
 
 
 @dataclasses.dataclass(frozen=True)

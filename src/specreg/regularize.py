@@ -23,6 +23,16 @@ evaluated once per level, the level norms of b come from the level sums
 of x^2, and slot vectors are built only for the witness.  One secular
 step therefore costs O(#levels) regardless of multiplicity.
 
+The grid oracle solves a row at a time: ``_worst_case_rows`` takes every
+alpha of a row at one delta and builds r, q, c and g as (alpha x level)
+tables in blocks of about ``_TABLE_BYTES`` each.  The hard case is a row
+mask, and the other rows of a block are solved as one array of brackets,
+so the numpy bookkeeping of a Newton step is paid once per block, not
+once per alpha: the 18-level rows of a backward heat sweep take one
+block each, while rows of thousands of levels keep one alpha per block.
+``worst_case_error`` is the one-alpha case, and a row of a block gets
+the results it gets alone, bit for bit.
+
 ``bias``, ``propagation_norm`` and ``variance_trace`` take a scalar alpha
 or a 1-d alpha grid; a grid is evaluated as (alpha x level) filter
 tables in alpha blocks of fixed byte size.  ``mse_monte_carlo`` takes
@@ -34,11 +44,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, EnvelopeViolationError
-from .filters import FilterMethod, alpha_table
+from .filters import _TABLE_BYTES, FilterMethod, alpha_table
 from .spectral import (
     DeterministicNoise,
     SpectralElement,
@@ -47,6 +58,8 @@ from .spectral import (
     noise_generator,
 )
 from .roots import bracketed_roots
+
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "apply_regularizer",
@@ -146,58 +159,179 @@ def worst_case_bounds(
     return max(b, p), b + p
 
 
-def _norm(v) -> float:
-    """Euclidean norm of a nonnegative vector, its squares scaled so that
-    they neither overflow nor underflow."""
-    top = float(np.max(v, initial=0.0))
-    return top * math.sqrt(np.sum((v / top) ** 2)) if top > 0.0 else 0.0
+def _row_norms(v) -> np.ndarray:
+    """Euclidean norm along the last axis of a nonnegative array, its
+    squares scaled so that they neither overflow nor underflow."""
+    top = np.max(v, axis=-1, initial=0.0)
+    scaled = v / np.where(top > 0.0, top, 1.0)[..., None]
+    return top * np.sqrt(np.sum(np.square(scaled, out=scaled), axis=-1))
+
+
+def _gaps(d, d_max):
+    """g = d_max^2 - d^2 per level and the top-group mask where g vanishes
+    to 1e-30 relative; g is set to exactly 0 on the top group."""
+    top_sq = np.square(d_max)
+    g = np.square(d)
+    np.subtract(top_sq, g, out=g)
+    top = g <= 1e-30 * top_sq
+    np.copyto(g, 0.0, where=top)
+    return g, top
+
+
+def _masked_rows(a, rows):
+    """The rows of ``a`` selected by the mask ``rows``; ``a`` itself when
+    every row is."""
+    return a if rows.all() else a[rows]
 
 
 def _solve_secular(c, g, delta):
-    """Root of f(sigma) = sum (c/(sigma+g))^2 = delta^2 with f decreasing.
+    """Roots of f(sigma) = sum (c/(sigma+g))^2 = delta^2 with f decreasing,
+    one per row of the (rows x levels) arrays c and g.
 
-    Requires f(0+) > delta^2, i.e. either some c with g == 0 or enough
-    mass near the top.  Returns sigma > 0.  f <= ||c||^2 / sigma^2 bounds
-    the root above by ||c|| / delta; a top group with mass c_top bounds it
-    below by c_top / delta, otherwise the smallest normal double does.
-    The equation is solved as phi(sigma) = 1/sqrt(f(sigma)) = 1/delta:
-    phi is increasing and concave (Hebden 1973; More & Sorensen 1983), so
-    Newton steps from the lower bracket end rise monotonically to the
-    root, with phi' = f^{-3/2} sum c^2/(sigma+g)^3.
+    Requires f(0+) > delta^2 on every row, i.e. either some c with g == 0
+    or enough mass near the top.  Returns (sigma, steps): sigma > 0 and
+    the Newton steps of each row.  f <= ||c||^2 / sigma^2 bounds the root
+    above by ||c|| / delta; a top group with mass c_top bounds it below
+    by c_top / delta, otherwise the smallest normal double does.  The
+    equation is solved as phi(sigma) = 1/sqrt(f(sigma)) = 1/delta: phi is
+    increasing and concave (Hebden 1973; More & Sorensen 1983), so Newton
+    steps from the lower bracket end rise monotonically to the root, with
+    phi' = f^{-3/2} sum c^2/(sigma+g)^3.  Every row is one bracket of a
+    single ``bracketed_roots`` call, and phi and phi' are taken on the
+    whole block in three level buffers that every trial point reuses.
     """
-    c_top = _norm(c[g == 0.0])
-
+    c_top = _row_norms(np.where(g == 0.0, c, 0.0))
+    lo = np.where(c_top > 0.0, c_top / delta, _TINY)
+    hi = _row_norms(c) / delta
+    if c.shape[0] == 1:
+        # one row is solved on 1-d levels with a 0-d bracket, whose
+        # arithmetic runs on numpy scalars, cheaper than 1-element arrays
+        c, g, lo, hi = c[0], g[0], lo[0], hi[0]
+    inv, u_sq, w = (np.empty_like(c) for _ in range(3))
     # phi and its slope are taken at each trial point in turn; both read
     # 1/(s+g), (c/(s+g))^2 and f of the last point
-    last = [None, None, None, None]
+    last = [None, None]
 
-    def terms(s):
+    def f_at(s):
         if last[0] is not s:
-            inv = 1.0 / (s + g)
-            u_sq = np.square(c * inv)
-            last[:] = s, inv, u_sq, u_sq.sum()
-        return last[1:]
+            np.add(s[..., None], g, out=inv)
+            np.divide(1.0, inv, out=inv)
+            np.multiply(c, inv, out=u_sq)
+            np.square(u_sq, out=u_sq)
+            last[:] = s, u_sq.sum(axis=-1)
+        return last[1]
 
     def phi(s):
-        return 1.0 / np.sqrt(terms(s)[2])
+        return 1.0 / np.sqrt(f_at(s))
 
     def phi_slope(s):
-        inv, u_sq, f = terms(s)
-        return (u_sq * inv).sum() / (f * np.sqrt(f))
+        f = f_at(s)
+        np.multiply(u_sq, inv, out=w)
+        return w.sum(axis=-1) / (f * np.sqrt(f))
 
     # an overflowing f reads as phi = 0, far below the root; its slope (0
     # or nan) gives no Newton point inside the bracket, so the midpoint
     # is tried next
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma, _ = bracketed_roots(
-            phi,
-            1.0 / delta,
-            c_top / delta if c_top > 0.0 else np.finfo(float).tiny,
-            _norm(c) / delta,
-            increasing=True,
-            slope=phi_slope,
+        sigma, steps = bracketed_roots(
+            phi, 1.0 / delta, lo, hi, increasing=True, slope=phi_slope
         )
-    return float(sigma)
+    return np.reshape(sigma, -1), np.reshape(steps, -1)
+
+
+class _Rows(NamedTuple):
+    """Worst case per alpha of a row: value, bias, d_max = ||R_alpha||,
+    the secular root sigma (0 in the hard case and without noise), the
+    hard-case flag and the squared noise norm padded onto a top slot."""
+
+    value: np.ndarray
+    bias: np.ndarray
+    d_max: np.ndarray
+    sigma: np.ndarray
+    hard: np.ndarray
+    pad_sq: np.ndarray
+
+
+def _worst_case_rows(method: FilterMethod, alphas, x: SpectralElement, delta):
+    """Worst case at every alpha of the 1-d array ``alphas``, one delta.
+
+    Rows go in blocks whose (rows x levels) tables hold about
+    ``_TABLE_BYTES`` each, as in ``alpha_table``: r, q, c and g are built
+    once per block, the hard case is a row mask, and the other rows of
+    the block are solved together by ``_solve_secular``.  A row's results
+    do not depend on which rows share its block.
+    """
+    if delta < 0:
+        raise DomainError("delta must be nonnegative")
+    lam, mass = x.op.eigenvalues, x.level_mass
+    root_lam = np.sqrt(lam)
+    delta_sq = delta * delta
+    n = alphas.size
+    out = _Rows(
+        value=np.empty(n),
+        bias=np.empty(n),
+        d_max=np.empty(n),
+        sigma=np.zeros(n),
+        hard=np.zeros(n, dtype=bool),
+        pad_sq=np.zeros(n),
+    )
+    rows = max(1, _TABLE_BYTES // (8 * lam.size))
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        col = alphas[blk, None]
+        d = method.q(col, lam)
+        np.abs(d, out=d)
+        d *= root_lam
+        # squared level norms of b = r x; as in a sum of squared slot
+        # values, a b whose square underflows reads zero, so such a top
+        # group takes the hard-case branch below
+        b = method.r(col, lam)
+        np.square(b, out=b)
+        b *= mass
+        bias_val = np.sqrt(np.sum(b, axis=1))
+        np.sqrt(b, out=b)
+        d_max = np.max(d, axis=1)
+        out.bias[blk], out.d_max[blk] = bias_val, d_max
+        noisy = (d_max > 0.0) & (delta > 0.0)
+        out.value[blk] = bias_val
+        if not noisy.any():
+            continue
+
+        # level norms of c = d b; sums below are of squared ratios, so no
+        # square of theta, sigma or g overflows at tiny alpha
+        c = d * b
+        g, top = _gaps(d, d_max[:, None])
+        # without mass on the top group the multiplier may stick at
+        # theta = d_max^2: the hard case, when the rest of the mass cannot
+        # absorb the whole budget
+        bare = noisy & ~np.any(top & (c != 0.0), axis=1)
+        s_lim = np.zeros(d_max.size)
+        if bare.any():
+            c_in, g_in = _masked_rows(c, bare), _masked_rows(g, bare)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(g_in > 0, c_in / g_in, 0.0)
+            s_lim[bare] = np.sum(np.square(terms, out=terms), axis=1)
+        hard = bare & (s_lim <= delta_sq)
+        solve = noisy & ~hard
+        sigma = np.zeros(d_max.size)
+        if solve.any():
+            sigma[solve], _ = _solve_secular(
+                _masked_rows(c, solve), _masked_rows(g, solve), delta
+            )
+
+        # top numerators vanish with the denominator in the hard case; sum
+        # the interior only (rows without noise are dropped below)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(b, np.add(sigma[:, None], g, out=g), out=b)
+        if not solve.all():
+            np.copyto(ratio, 0.0, where=top & ~solve[:, None])
+        value = (sigma + np.square(d_max)) * _row_norms(ratio)
+        pad_sq = np.where(hard, delta_sq - s_lim, 0.0)
+        if hard.any():
+            value = np.where(hard, np.hypot(value, d_max * np.sqrt(pad_sq)), value)
+        out.value[blk] = np.where(noisy, value, bias_val)
+        out.sigma[blk], out.hard[blk], out.pad_sq[blk] = sigma, hard, pad_sq
+    return out
 
 
 def worst_case_error(
@@ -207,77 +341,29 @@ def worst_case_error(
     delta: float,
     want_witness: bool = False,
 ) -> WorstCaseResult:
-    """Exact sup of ||x_hat - x|| over noise with ||eta|| <= delta."""
-    op = x.op
-    lam_level = op.eigenvalues
-    r_level = method.r(alpha, lam_level)
-    d_level = np.abs(method.q(alpha, lam_level)) * np.sqrt(lam_level)
-    # squared level norms of b = r x; as in a sum of squared slot values,
-    # a b whose square underflows reads zero, so such a top group takes the
-    # hard-case branch below
-    b_sq = r_level**2 * x.level_mass
-    b_level = np.sqrt(b_sq)
-    bias_val = math.sqrt(np.sum(b_sq))
-    d_max = float(np.max(d_level))
-
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
-    if delta == 0.0 or d_max == 0.0:
-        witness = x.with_coefficients(np.zeros(op.n_slots)) if want_witness else None
-        return WorstCaseResult(
-            value=bias_val,
-            bias=bias_val,
-            propagation=d_max,
-            delta=delta,
-            theta=d_max**2,
-            hard_case=False,
-            witness=witness,
-        )
-
-    # level norms of c = d b; sums below are of squared ratios, so no
-    # square of theta, sigma or g overflows at tiny alpha
-    c_level = d_level * b_level
-    g_level = d_max**2 - d_level**2
-    top = g_level <= 1e-30 * d_max**2
-    g_level = np.where(top, 0.0, g_level)
-    delta_sq = delta * delta
-
-    hard = False
-    if not np.any(c_level[top]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(g_level > 0, c_level / g_level, 0.0)
-        s_lim = float(np.sum(terms**2))
-        hard = s_lim <= delta_sq
-
-    if hard:
-        sigma = 0.0
-        pad_sq = delta_sq - s_lim
-    else:
-        sigma = _solve_secular(c_level, g_level, delta)
-        pad_sq = 0.0
-
-    theta = sigma + d_max**2
-    denom = sigma + g_level
-    # top numerators vanish with the denominator in the hard case; sum the
-    # interior only
-    keep = ~top if hard else slice(None)
-    value = theta * _norm(b_level[keep] / denom[keep])
-    if hard:
-        value = math.hypot(value, d_max * math.sqrt(pad_sq))
+    """Exact sup of ||x_hat - x|| over noise with ||eta|| <= delta: the
+    one-alpha case of the row kernel, with the maximizing noise as the
+    witness on request."""
+    row = _worst_case_rows(method, np.array([alpha], dtype=float), x, delta)
+    value, bias_val, d_max, sigma, hard, pad_sq = (v[0].item() for v in row)
 
     witness = None
     if want_witness:
-        mult = op.multiplicities
-        b_slot = np.repeat(r_level, mult) * x.coefficients
-        d_slot = np.repeat(d_level, mult)
-        denom_slot = sigma + np.repeat(g_level, mult)
+        op = x.op
+        lam = op.eigenvalues
         eta = np.zeros(op.n_slots)
-        nz = denom_slot > 0
-        eta[nz] = -d_slot[nz] * b_slot[nz] / denom_slot[nz]
-        if hard:
-            # b vanishes on the top group; drop the leftover budget there
-            top_slots = np.repeat(top, mult)
-            eta[np.argmax(top_slots)] = math.sqrt(pad_sq)
+        if delta > 0.0 and d_max > 0.0:
+            mult = op.multiplicities
+            d_level = np.abs(method.q(alpha, lam)) * np.sqrt(lam)
+            g_level, top = _gaps(d_level, d_max)
+            b_slot = np.repeat(method.r(alpha, lam), mult) * x.coefficients
+            d_slot = np.repeat(d_level, mult)
+            denom_slot = sigma + np.repeat(g_level, mult)
+            nz = denom_slot > 0
+            eta[nz] = -d_slot[nz] * b_slot[nz] / denom_slot[nz]
+            if hard:
+                # b vanishes on the top group; drop the leftover budget there
+                eta[np.argmax(np.repeat(top, mult))] = math.sqrt(pad_sq)
         witness = x.with_coefficients(eta)
 
     return WorstCaseResult(
@@ -285,7 +371,7 @@ def worst_case_error(
         bias=bias_val,
         propagation=d_max,
         delta=delta,
-        theta=theta,
+        theta=sigma + d_max * d_max,
         hard_case=hard,
         witness=witness,
     )

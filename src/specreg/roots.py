@@ -20,6 +20,12 @@ close to linear near the root, as the secular function of the worst
 case is (about five evaluations per solve); on strongly curved
 functions it creeps, and a bracket left open at ``MAX_STEPS`` raises
 DomainError as in bisection.
+
+Brackets solved in one call do not see each other: ``fn`` is evaluated
+on every bracket at every step, but a closed bracket keeps its bounds
+and its last trial point, and ``steps`` counts the evaluations each
+bracket made while open.  A bracket's root and step count are those it
+gets when solved alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,10 +53,10 @@ def bracketed_roots(
     at each trial point right after ``fn``) the first trial point is
     ``lo`` and each next one is the Newton point of the last trial if it
     lies strictly inside the shrunken bracket, the midpoint otherwise.
-    Returns ``(roots, steps)``: roots inside their brackets and the
-    number of ``fn`` evaluations.  Raises DomainError on a bracket that
-    is not positive and finite, or one still open after ``MAX_STEPS``
-    steps.
+    Returns ``(roots, steps)``: roots inside their brackets and, shaped
+    like them, the number of ``fn`` evaluations each bracket made while
+    open.  Raises DomainError on a bracket that is not positive and
+    finite, or one still open after ``MAX_STEPS`` steps.
     """
     target, lo, hi = (
         np.array(a, dtype=float) for a in np.broadcast_arrays(target, lo, hi)
@@ -60,16 +66,23 @@ def bracketed_roots(
     slack = tol * np.abs(target)
     sign = 1.0 if increasing else -1.0
     trial = lo.copy()
-    for steps in range(MAX_STEPS + 1):
+    steps = np.zeros(lo.shape, dtype=int)
+    was_live, n_was = True, lo.size
+    for n in range(MAX_STEPS + 1):
         mid = np.sqrt(lo) * np.sqrt(hi)
         live = (lo < mid) & (mid < hi) & (hi - lo > _REL_WIDTH * hi)
         if slope is None:
             trial = mid
-        elif steps:
+        elif n:
             trial = np.where((lo < newton) & (newton < hi), newton, mid)
-        if not live.any():
+        n_open = np.count_nonzero(live)
+        if n_open < n_was:
+            # brackets that closed on this step made n evaluations
+            np.copyto(steps, n, where=was_live & ~live)
+            was_live, n_was = live, n_open
+        if not n_open:
             return trial.clip(lo, hi), steps
-        if steps == MAX_STEPS:
+        if n == MAX_STEPS:
             break
         defect = fn(trial) - target
         hit = live & (np.abs(defect) <= slack)
@@ -84,11 +97,15 @@ def bracketed_roots(
                 newton = trial - defect / d
             # a Newton step of at most 4 eps closes the bracket onto the
             # Newton point; the zero step of an overflowed slope does not
-            step = np.abs(newton - trial)
-            tiny = live & np.isfinite(d) & (step <= _REL_WIDTH * trial)
+            move = np.abs(newton - trial)
+            tiny = live & np.isfinite(d) & (move <= _REL_WIDTH * trial)
             close = newton.clip(lo, hi)
             np.copyto(lo, close, where=tiny)
             np.copyto(hi, close, where=tiny)
+            if n_open < live.size:
+                # a closed bracket keeps its trial point: the next trial
+                # of its frozen bracket is this one again or its midpoint
+                newton = np.where(live, newton, trial)
     raise DomainError(
         f"{int(np.count_nonzero(live))} root bracket(s) still open "
         f"after {MAX_STEPS} steps"

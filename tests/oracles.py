@@ -4,8 +4,8 @@ Kept independent of the package internals: the worst-case oracle never
 forms the secular equation, it climbs the sphere directly, the
 falsification references form every probe vector explicitly, the
 Monte Carlo reference scores one row at a time with its own draws, and
-the choice-rule references are the plain loops over grid points and
-pairs of grid points.
+the choice-rule and grid-oracle references are the plain loops over
+grid points and pairs of grid points.
 """
 
 import math
@@ -13,7 +13,12 @@ import math
 import numpy as np
 
 from specreg.param_choice import AlphaChoice
-from specreg.regularize import variance_trace
+from specreg.regularize import (
+    bias,
+    propagation_norm,
+    variance_trace,
+    worst_case_error,
+)
 from specreg.spectral import DeterministicNoise, noise_generator
 
 
@@ -212,3 +217,22 @@ def lepskii_pairwise(method, data, noise, alphas, constant=4.0):
         q_rows.append(q_i)
         best = i
     return AlphaChoice(float(a[best]), best)
+
+
+def grid_inf_error_loop(method, x, noise, alphas):
+    """Deterministic grid oracle by the plain loop: the sandwich
+    max(bias, ||R|| delta) <= worst case <= bias + ||R|| delta prunes the
+    grid, then one ``worst_case_error`` per survivor, the first survivor
+    of least value winning.  Returns (AlphaChoice, value)."""
+    a = np.asarray(alphas, dtype=float)
+    delta = noise.delta
+    bias_arr = bias(method, a, x)
+    prop_arr = propagation_norm(method, a, x.op)
+    lb = np.maximum(bias_arr, prop_arr * delta)
+    cutoff = float(np.min(bias_arr + prop_arr * delta))
+    best_i, best_v = -1, math.inf
+    for i in np.nonzero(lb <= cutoff)[0]:
+        v = worst_case_error(method, float(a[i]), x, delta).value
+        if v < best_v:
+            best_i, best_v = int(i), v
+    return AlphaChoice(float(a[best_i]), best_i), best_v

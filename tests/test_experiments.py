@@ -11,6 +11,8 @@ from specreg.experiments import (
     LogLaw,
     PowerLaw,
     WhiteNoiseSweep,
+    _resolve_alphas,
+    _resolve_method,
     default_alpha_grid,
     fit_rate,
     resolve_element,
@@ -237,8 +239,33 @@ class TestDeterministicRate:
         rep = run_deterministic_rate(cfg)
         assert rep.config["method"]["method"] == "landweber"
         assert rep.config["method"]["mu_step"] == pytest.approx(0.9)
-        assert len(rep.config["alpha_grid"]) > 100
+        spec = rep.config["alpha_grid_spec"]
+        assert "alpha_grid" not in rep.config
+        assert spec["points_per_decade"] == 40 and spec["snaps_to_iterations"]
+        assert spec["count"] > 100 and 0 < spec["lo"] < spec["hi"]
         assert "truncation_note" in rep.config
+
+    @pytest.mark.parametrize("method", ["tikhonov", "landweber"])
+    def test_echoed_config_reruns_to_the_same_grid_and_rows(self, method):
+        cfg = det_config(problem=circle(500), method={"method": method})
+        rep = run_deterministic_rate(cfg)
+        echoed = ExperimentConfig.from_dict(json.loads(json.dumps(rep.config)))
+        op = cfg.problem.build().op
+        first, second = (
+            _resolve_alphas(c, op, _resolve_method(c.method, op))
+            for c in (cfg, echoed)
+        )
+        assert first.tobytes() == second.tobytes()
+        assert first.size == rep.config["alpha_grid_spec"]["count"]
+        again = run_deterministic_rate(echoed)
+        assert again.config == rep.config
+        assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in rep.rows]
+
+    def test_explicit_grid_is_echoed_as_given(self):
+        grid = (1e-6, 1e-4, 1e-3, 1e-2)
+        rep = run_deterministic_rate(det_config(problem=circle(500), alpha_grid=grid))
+        assert rep.config["alpha_grid"] == list(grid)
+        assert "alpha_grid_spec" not in rep.config
 
     def test_rerun_is_bit_identical(self):
         cfg = det_config(problem=circle(500))

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from oracles import discrepancy_scan, lepskii_pairwise
+from oracles import discrepancy_scan, grid_inf_error_loop, lepskii_pairwise
 
 from specreg.errors import DomainError
-from specreg.filters import iterated_tikhonov, landweber, showalter, tikhonov
+from specreg.filters import (
+    _TABLE_BYTES,
+    catalogue,
+    iterated_tikhonov,
+    landweber,
+    showalter,
+    tikhonov,
+)
 from specreg.index_functions import PowerIndex, theta_inverse
 from specreg.param_choice import (
     a_priori_rule,
@@ -20,7 +27,13 @@ from specreg.param_choice import (
     quasioptimality_ratio,
 )
 from specreg.problems import sideways_heat
-from specreg.regularize import error_breakdown, worst_case_error
+from specreg.regularize import (
+    _worst_case_rows,
+    bias,
+    error_breakdown,
+    propagation_norm,
+    worst_case_error,
+)
 from specreg.spectral import (
     DeterministicNoise,
     SpectralElement,
@@ -199,6 +212,34 @@ def _neighbours(c: float, ulps: int = 3) -> list[float]:
         lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
         out += [lo, hi]
     return out
+
+
+def random_oracle_case(rng: np.random.Generator, method):
+    """A random fixture, grid and noise budget for the grid oracle.
+
+    Most fixtures have a few dozen levels, so a block holds many rows;
+    the others have thousands of levels, up to past the point where one
+    row fills a block.  Two levels in five carry no mass, so rows whose
+    top group lies on such a level take the hard case once delta is
+    large enough; budgets of 1e-5 to 1 put such rows beside solved rows
+    of the same block in about a quarter of the cases.
+    """
+    n_levels = int(
+        rng.choice(
+            [rng.integers(1, 40), rng.integers(1000, 5000), rng.integers(8193, 9000)],
+            p=[0.6, 0.25, 0.15],
+        )
+    )
+    lam = np.unique(10.0 ** rng.uniform(-8.0, 0.0, n_levels))[::-1]
+    mult = rng.integers(1, 3, lam.size)
+    op = SpectralOperator(lam, mult)
+    freq = np.repeat(np.arange(1, lam.size + 1, dtype=float), mult)
+    coef = rng.choice([-1.0, 1.0], op.n_slots) * freq ** -rng.uniform(0.5, 3.0)
+    coef[np.repeat(rng.uniform(size=lam.size) < 0.4, mult)] = 0.0
+    hi = min(0.99 * method.alpha_max, 10.0)
+    grid = np.geomspace(10.0 ** rng.uniform(-9.0, -4.0), hi, rng.integers(20, 60))
+    noise = DeterministicNoise(10.0 ** rng.uniform(-5.0, 0.0))
+    return SpectralElement(op, coef), grid, noise
 
 
 def random_rule_case(rng: np.random.Generator):
@@ -398,6 +439,37 @@ class TestQuasiOptimality:
         ]
         assert val == pytest.approx(min(dense), rel=1e-12)
         assert choice.index == int(np.argmin(dense))
+
+    def test_grid_inf_matches_the_plain_loop(self):
+        rng = np.random.default_rng(20161018)
+        methods = catalogue()
+        mixed = one_row_blocks = many_row_blocks = 0
+        for case in range(120):
+            method = methods[case % len(methods)]
+            x, grid, noise = random_oracle_case(rng, method)
+            choice, value = grid_inf_error(method, x, noise, grid)
+            want, want_value = grid_inf_error_loop(method, x, noise, grid)
+            assert choice == want
+            assert value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+
+            # every survivor of the row's blocks scores as it does alone
+            b = bias(method, grid, x)
+            p = propagation_norm(method, grid, x.op) * noise.delta
+            alphas = grid[np.maximum(b, p) <= np.min(b + p)]
+            rows = _worst_case_rows(method, alphas, x, noise.delta)
+            alone = [worst_case_error(method, a, x, noise.delta) for a in alphas]
+            assert rows.value.tolist() == [r.value for r in alone]
+            assert rows.hard.tolist() == [r.hard_case for r in alone]
+            per_block = max(1, _TABLE_BYTES // (8 * x.op.eigenvalues.size))
+            one_row_blocks += per_block == 1
+            many_row_blocks += per_block > 1 and alphas.size > per_block
+            blocks = np.arange(alphas.size) // per_block
+            mixed += any(
+                0 < rows.hard[blocks == k].sum() < (blocks == k).sum()
+                for k in range(blocks[-1] + 1)
+            )
+        assert mixed >= 15
+        assert one_row_blocks >= 10 and many_row_blocks >= 10
 
     def test_grid_inf_white(self):
         x = sobolev_like(n_levels=40)

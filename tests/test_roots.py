@@ -10,6 +10,7 @@ from specreg.errors import DomainError
 from specreg.experiments import (
     DeterministicSweep,
     ExperimentConfig,
+    LogLaw,
     PowerLaw,
     default_alpha_grid,
     run_deterministic_rate,
@@ -51,7 +52,7 @@ def test_array_of_brackets_matches_single_calls(increasing):
     hi = np.array([1e300, 1e-4, 0.5, 1e10])
     target = fn(np.array([3e-77, 5e-5, 0.5, 7e3]))
     got, steps = bracketed_roots(fn, target, lo, hi, increasing=increasing)
-    assert steps <= 64
+    assert steps.max() <= 64
     for i in range(lo.size):
         one, _ = bracketed_roots(fn, target[i], lo[i], hi[i], increasing=increasing)
         assert got[i] == one
@@ -111,6 +112,58 @@ def test_newton_point_outside_the_bracket_falls_back_to_the_midpoint():
     assert steps < roots.MAX_STEPS
 
 
+@given(
+    st.lists(
+        st.tuples(DECADES, DECADES, st.floats(0.0, 1.0)), min_size=2, max_size=6
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_joint_brackets_solve_as_they_do_alone(brackets, increasing, newton):
+    # a bracket's root and step count must not depend on its companions,
+    # on the bisection and on the slope path alike
+    lo = np.array([10.0 ** min(a, b) for a, b, _ in brackets])
+    hi = np.array([10.0 ** max(a, b) for a, b, _ in brackets])
+    frac = np.array([f for _, _, f in brackets])
+    root = np.clip(lo ** (1.0 - frac) * hi**frac, lo, hi)
+    fn, slope = _NEWTON[increasing]
+    kw = dict(increasing=increasing, slope=slope if newton else None)
+    target = fn(root)
+    got, steps = bracketed_roots(fn, target, lo, hi, **kw)
+    assert steps.shape == lo.shape
+    for i in range(lo.size):
+        one, one_steps = bracketed_roots(fn, target[i], lo[i], hi[i], **kw)
+        assert one_steps.shape == ()
+        assert got[i] == one
+        assert steps[i] == one_steps
+
+
+def test_closed_brackets_keep_their_root_under_an_understated_slope():
+    # with slope 0.3 for fn(x) = x every Newton point overshoots the root
+    # by 2.3 times the defect, so a bracket that closes on its width keeps
+    # getting Newton points inside it while its companions are open
+    rng = np.random.default_rng(1)
+    kw = dict(increasing=True, slope=lambda x: np.full(np.shape(x), 0.3))
+    solved = 0
+    for _ in range(100):
+        ends = 10.0 ** rng.uniform(-3.0, 3.0, (2, 5))
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+        frac = rng.uniform(size=5)
+        target = lo ** (1.0 - frac) * hi**frac
+        try:
+            got, steps = bracketed_roots(lambda x: x, target, lo, hi, **kw)
+        except DomainError:
+            continue  # a bracket crept past MAX_STEPS
+        for i in range(lo.size):
+            one, one_steps = bracketed_roots(
+                lambda x: x, target[i], lo[i], hi[i], **kw
+            )
+            assert (got[i], steps[i]) == (one, one_steps)
+        solved += 1
+    assert solved > 80
+
+
 def test_an_infinite_slope_proves_nothing():
     # every Newton step is zero; only midpoints can close the bracket
     got, steps = bracketed_roots(
@@ -137,7 +190,8 @@ def _bisected_secular(c, g, delta):
 def _assert_same_root(c, g, delta):
     """Newton and bisection agree to 4 eps per unit of the root's condition
     number f / (sigma |f'|), the ulps sigma moves per ulp of f."""
-    got = regularize._solve_secular(c, g, delta)
+    sigma, _ = regularize._solve_secular(c[None, :], g[None, :], delta)
+    got = float(sigma[0])
     want = _bisected_secular(c, g, delta)
     w = (c / (want + g)) ** 2
     cond = float(np.sum(w) / (2 * np.sum(w * want / (want + g))))
@@ -195,15 +249,21 @@ def test_secular_newton_matches_bisection_on_heat_spectra():
     assert solved > 100
 
 
-def test_circle_oracle_rows_solve_in_few_newton_steps(monkeypatch):
+def _count_bracket_steps(monkeypatch):
+    """Record the steps of every bracket the worst case solves."""
     steps = []
 
     def counting(*args, **kwargs):
         root, n = bracketed_roots(*args, **kwargs)
-        steps.append(n)
+        steps.extend(np.ravel(n).tolist())
         return root, n
 
     monkeypatch.setattr(regularize, "bracketed_roots", counting)
+    return steps
+
+
+def test_circle_oracle_rows_solve_in_few_newton_steps(monkeypatch):
+    steps = _count_bracket_steps(monkeypatch)
     for method in ("tikhonov", "landweber"):
         run_deterministic_rate(
             ExperimentConfig(
@@ -219,3 +279,23 @@ def test_circle_oracle_rows_solve_in_few_newton_steps(monkeypatch):
         )
     assert len(steps) > 100
     assert max(steps) <= 8
+
+
+def test_heat_log_band_rows_solve_in_few_newton_steps(monkeypatch):
+    # the sweep of the backward heat log-band acceptance run: 18 levels
+    # whose propagation factors span hundreds of decades
+    steps = _count_bracket_steps(monkeypatch)
+    run_deterministic_rate(
+        ExperimentConfig(
+            name="newton-steps-heat",
+            operation="deterministic_rate",
+            problem=ProblemDescriptor(
+                "backward_heat", {"t_bar": 1.0, "N": 30, "beta": 1.0}
+            ),
+            method={"method": "showalter"},
+            noise=DeterministicSweep(tuple(10.0**-k for k in range(3, 13))),
+            rate_model=LogLaw(1.0),
+        )
+    )
+    assert len(steps) > 1000
+    assert max(steps) <= 13
