@@ -109,6 +109,17 @@ def _field(path: str, convert, value):
         raise DomainError(f"{path}: {exc}") from None
 
 
+def _finite(path: str, value) -> float:
+    """float(value) for a finite number; bools are refused rather than
+    read as 0 or 1."""
+    if isinstance(value, bool):
+        raise DomainError(f"{path} must be a number, got {value!r}")
+    x = _field(path, float, value)
+    if not math.isfinite(x):
+        raise DomainError(f"{path} must be finite, got {x!r}")
+    return x
+
+
 def _whole(path: str, value, minimum: int = 0) -> int:
     """A whole number >= minimum; bools, strings and fractions are
     refused rather than rounded."""
@@ -399,12 +410,14 @@ def _resolve_rule(spec: dict, kappa: IndexFunction):
     if kind == "a_priori":
         return a_priori_rule(kappa), {"kind": "a_priori"}
     if kind == "discrepancy":
-        tau = _field("rule.tau", float, spec.get("tau", 2.0))
+        tau = _finite("rule.tau", spec.get("tau", 2.0))
         if not tau > 1:
             raise DomainError(f"rule.tau must exceed 1, got {tau!r}")
         return discrepancy_rule(tau), {"kind": "discrepancy", "tau": tau}
     if kind == "lepskii":
-        c = _field("rule.constant", float, spec.get("constant", 4.0))
+        c = _finite("rule.constant", spec.get("constant", 4.0))
+        if not c > 0:
+            raise DomainError(f"rule.constant must be positive, got {c!r}")
         return lepskii_rule(c), {"kind": "lepskii", "constant": c}
     raise DomainError(f"unknown rule kind {kind!r}")
 

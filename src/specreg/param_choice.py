@@ -53,6 +53,10 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 # the Lepskii q table is reserved up to this size at once
 _Q_TABLE_BYTES = 16 * 1024 * 1024
+# bytes of one (candidate block x level) Lepskii table: 32 candidates at
+# 3000 levels (on a 2-core x86 box, blocks of 16 cost about the same,
+# blocks of 48 and 64 more)
+_LEPSKII_BLOCK_BYTES = 768 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,6 +159,15 @@ def _lepskii_scale(
     raise TypeError(f"unsupported noise model {type(noise).__name__}")
 
 
+def _direct_exceeds(q, i, js, weights, scale) -> bool:
+    """Whether the direct sum puts some pair (i, j), j in js, past scale_j."""
+    q_i = q[i]
+    return any(
+        math.sqrt(float(np.sum((q_i - q[j]) ** 2 * weights))) > scale[j]
+        for j in js
+    )
+
+
 def choose_lepskii(
     method: FilterMethod,
     data: SpectralElement,
@@ -170,20 +183,24 @@ def choose_lepskii(
     sqrt(sum_l (q_i - q_j)^2 w_l) <= scale_j for every j < i, with q_i
     the q row of alpha_i over the L levels and w_l = lam_l times the
     level mass of the data, and the scan stops at the first candidate
-    that fails.  Per candidate it costs one q row and one BLAS
-    matrix-vector product g = Q[:i] @ (w q_i) against the accepted rows,
-    O(G^2 L) flops at worst on a grid of G points, and a table of the
-    accepted q rows.  The distances D_j + D_i - 2 g_j of that weighted
-    Gram form, with D_j = q_j . (w q_j), cancel badly for close rows, so
-    they only sort the pairs: the
-    rounding error of the Gram form and of the direct sum, in any
-    summation order, stays below 4 (L + 2) eps (D_i + D_j + 2 |g_j|),
+    that fails.  Candidates go in blocks of about ``_LEPSKII_BLOCK_BYTES``
+    per (block x L) table: one broadcast q call fills the block's rows
+    of the q table, and one BLAS matrix-matrix product
+    G = Q[:i1] @ (w Q_blk)^T gives the weighted Gram entries of every
+    pair j < i of the block at once, so the accepted rows are read once
+    per block, O(G^2 L) flops at worst on a grid of G points.  The
+    distances D_j + D_i - 2 G_ji of that Gram form, with D_j = q_j .
+    (w q_j), cancel badly for close rows, so they only sort the pairs:
+    the rounding error of the Gram form and of the direct sum, in any
+    summation order, stays below 4 (L + 2) eps (D_i + D_j + 2 |G_ji|),
     plus half a subnormal per product that underflows; 4 eps scale_j^2
-    more covers rounding the square and the root.  A pair whose Gram
-    distance lies within that margin of scale_j^2, and every pair of a
-    candidate whose entries could overflow, is decided again by the
-    direct sum, so the pick equals the loop's bit for bit.  Gram values
-    only decide; they never enter a report.
+    more covers rounding the square and the root.  The first candidate
+    of a block with a pair surely past scale_j ends the scan.  Before
+    it, a pair whose Gram distance lies within that margin of
+    scale_j^2, and every pair of a candidate whose entries could
+    overflow, is decided again by the direct sum in candidate order, so
+    the pick equals the loop's bit for bit.  Gram values only decide;
+    they never enter a report.
     """
     a = _ascending(alphas)
     lam = data.op.eigenvalues
@@ -195,47 +212,61 @@ def choose_lepskii(
     n = lam.size + 2
     rel = 4.0 * n * _EPS
     w_max = float(np.max(weights))
-    # rows past the first failing candidate are never written, so they
-    # never become resident; past _Q_TABLE_BYTES the table is grown by
-    # doubling instead of being reserved for the whole grid at once
-    rows = min(a.size, max(1, _Q_TABLE_BYTES // (8 * lam.size)))
-    q = np.empty((rows, lam.size))
+    # the block's Gram temporaries are (rows so far x block), so the block
+    # shrinks with the grid as well as with the levels
+    block = max(1, _LEPSKII_BLOCK_BYTES // (8 * max(lam.size, a.size)))
+    wq = np.empty((min(block, a.size), lam.size))
+    # rows past the block of the first failing candidate are never
+    # written, so they never become resident; past _Q_TABLE_BYTES the
+    # table is grown by doubling instead of being reserved at once
+    q = np.empty((min(a.size, max(1, _Q_TABLE_BYTES // (8 * lam.size))), lam.size))
     gram_diag = np.empty(a.size)
     q_max = 0.0
-    best = 0
-    for i in range(a.size):
-        if i == q.shape[0]:
-            grown = np.empty((min(a.size, 2 * i), lam.size))
-            grown[:i] = q
+    for i0 in range(0, a.size, block):
+        i1 = min(a.size, i0 + block)
+        if i1 > q.shape[0]:
+            grown = np.empty((min(a.size, max(i1, 2 * q.shape[0])), lam.size))
+            grown[:i0] = q[:i0]
             q = grown
-        q_i = q[i]
-        q_i[:] = method.q(a[i], lam)
-        q_max = max(q_max, float(np.max(np.abs(q_i))))
-        wq = weights * q_i
-        d_i = float(q_i @ wq)
-        g = q[:i] @ wq
-        s2 = scale_sq[:i]
-        # below this bound no sum, product or square of either form overflows
-        if n * (4.0 * q_max * q_max) * (1.0 + w_max) < 1e300:
-            dist = gram_diag[:i] + d_i - 2.0 * g
+        q_blk = q[i0:i1]
+        q_blk[:] = method.q(a[i0:i1, None], lam)
+        w_blk = np.multiply(q_blk, weights, out=wq[: i1 - i0])
+        cols = np.arange(i1 - i0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = q[:i1] @ w_blk.T
+            gram_diag[i0:i1] = gram[i0 + cols, cols]
+            # running max of |q| per candidate, NaN entries skipped
+            row_max = np.fmax(np.max(q_blk, axis=1), -np.min(q_blk, axis=1))
+            q_top = np.fmax.accumulate(np.fmax(row_max, q_max))
+            q_max = float(q_top[-1])
+            d_i = gram_diag[i0:i1]
+            d_j = gram_diag[:i1, None]
+            s2 = scale_sq[:i1, None]
+            dist = d_j + d_i - 2.0 * gram
             margin = (
-                rel * (gram_diag[:i] + d_i + 2.0 * np.abs(g))
+                rel * (d_j + d_i + 2.0 * np.abs(gram))
                 + 4.0 * _EPS * s2
-                + n * (8.0 + 4.0 * q_max + w_max) * _TINY
+                + n * (8.0 + 4.0 * q_top + w_max) * _TINY
             )
-            if np.any(dist - margin > s2):
+            fails = dist - margin > s2
+            unsure = ~(dist + margin < s2)
+            # below this bound no sum, product or square of either form
+            # overflows; above it every pair goes to the direct sum
+            guarded = n * (4.0 * q_top * q_top) * (1.0 + w_max) < 1e300
+        pairs = np.arange(i1)[:, None] < i0 + cols  # j < i
+        fails &= pairs & guarded
+        unsure = np.where(guarded, unsure & pairs, pairs)
+        failed = np.flatnonzero(np.any(fails, axis=0))
+        stop = int(failed[0]) if failed.size else i1 - i0
+        for c in np.flatnonzero(np.any(unsure[:, :stop], axis=0)):
+            js = np.flatnonzero(unsure[:, c])
+            if _direct_exceeds(q, i0 + c, js, weights, scale):
+                stop = int(c)
                 break
-            unsure = np.flatnonzero(~(dist + margin < s2))
-        else:
-            unsure = range(i)
-        if any(
-            math.sqrt(float(np.sum((q_i - q[j]) ** 2 * weights))) > scale[j]
-            for j in unsure
-        ):
-            break
-        gram_diag[i] = d_i
-        best = i
-    return AlphaChoice(float(a[best]), best)
+        if stop < i1 - i0:
+            best = i0 + stop - 1
+            return AlphaChoice(float(a[best]), best)
+    return AlphaChoice(float(a[-1]), a.size - 1)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EnvelopeViolationError
-from .filters import _TABLE_BYTES, FilterMethod, alpha_table
+from .filters import _TABLE_BYTES, FilterMethod, _q_dispatch, alpha_table
 from .spectral import (
     DeterministicNoise,
     SpectralElement,
@@ -107,13 +107,16 @@ def propagation_norm(method: FilterMethod, alpha, op: SpectralOperator):
 
     A scalar alpha gives a float, a 1-d alpha grid one value per alpha.
     """
-    lam = op.eigenvalues
+    alpha, lam = method._arguments(alpha, op.eigenvalues)
     root_lam = np.sqrt(lam)
-    return alpha_table(
-        alpha,
-        lam.size,
-        lambda a: np.max(np.abs(method.q(a, lam) * root_lam), axis=1),
-    )
+
+    def row_max(a):
+        # the table was checked as a whole, so blocks go to the dispatch
+        q = _q_dispatch(method, a, lam)
+        q *= root_lam
+        return np.max(np.abs(q, out=q), axis=1)
+
+    return alpha_table(alpha, lam.size, row_max)
 
 
 def variance_trace(method: FilterMethod, alpha, op: SpectralOperator):
@@ -400,15 +403,15 @@ def error_breakdown(
     noise: total is the root mean squared error, noise_term the exact
     standard deviation epsilon sqrt(trace).
     """
-    b = bias(method, alpha, x)
     if isinstance(noise, DeterministicNoise):
         wc = worst_case_error(method, alpha, x, noise.delta)
         return ErrorBreakdown(
-            bias=b,
+            bias=wc.bias,
             noise_term=wc.propagation * noise.delta,
             total=wc.value,
         )
     if isinstance(noise, WhiteNoise):
+        b = bias(method, alpha, x)
         stddev = noise.epsilon * math.sqrt(
             variance_trace(method, alpha, x.op)
         )

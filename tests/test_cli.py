@@ -124,13 +124,23 @@ def _white_noise(**noise):
         ({"seed": 0.5}, "seed"),
         ({"n_probes": 2.5}, "n_probes"),
         ({"n_probes": -3}, "n_probes"),
+        ({"rule": {"kind": "lepskii", "constant": -1}}, "rule.constant"),
+        ({"rule": {"kind": "lepskii", "constant": 0}}, "rule.constant"),
+        ({"rule": {"kind": "lepskii", "constant": float("nan")}}, "rule.constant"),
+        ({"rule": {"kind": "lepskii", "constant": float("inf")}}, "rule.constant"),
+        ({"rule": {"kind": "lepskii", "constant": True}}, "rule.constant"),
+        ({"rule": {"kind": "lepskii", "constant": "abc"}}, "rule.constant"),
+        ({"rule": {"kind": "discrepancy", "tau": float("inf")}}, "rule.tau"),
+        ({"rule": {"kind": "discrepancy", "tau": float("nan")}}, "rule.tau"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
         "element", "kappa", "nan_param", "replicates_fraction", "replicates_one",
         "replicates_bool", "replicates_string", "noise_seed_fraction",
         "noise_seed_negative", "seed_negative", "seed_fraction",
-        "n_probes_fraction", "n_probes_negative",
+        "n_probes_fraction", "n_probes_negative", "constant_negative",
+        "constant_zero", "constant_nan", "constant_infinite", "constant_bool",
+        "constant_string", "tau_infinite", "tau_nan",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):

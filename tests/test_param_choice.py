@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import discrepancy_scan, grid_inf_error_loop, lepskii_pairwise
 
+from specreg import param_choice
 from specreg.errors import DomainError
 from specreg.filters import (
     _TABLE_BYTES,
@@ -289,6 +290,179 @@ def _where(choice, grid) -> str:
     if choice.flag:
         return choice.flag
     return {0: "first", grid.size - 1: "last"}.get(choice.index, "inside")
+
+
+def _blocks_of(rows: int, data, grid) -> int:
+    """_LEPSKII_BLOCK_BYTES that give Lepskii blocks of ``rows`` candidates."""
+    return 8 * max(data.op.eigenvalues.size, grid.size) * rows
+
+
+class _SteppedTikhonov:
+    """Tikhonov's q times 1e150 from ``alpha_step`` on, so the largest |q|
+    so far jumps past the overflow bound partway through the grid (the
+    catalogue filters peak at the smallest alpha)."""
+
+    c_q = 1.0
+
+    def __init__(self, alpha_step: float):
+        self.alpha_step = alpha_step
+
+    def q(self, alpha, lam):
+        return np.where(np.asarray(alpha) >= self.alpha_step, 1e150, 1.0) / (
+            alpha + lam
+        )
+
+
+class TestLepskiiBlocks:
+    """Candidates go in blocks; picks match the pairwise loop wherever
+    the block boundaries fall."""
+
+    @pytest.fixture()
+    def rechecks(self, monkeypatch):
+        """(candidate, pairs, verdict) of every direct recheck."""
+        seen = []
+        direct = param_choice._direct_exceeds
+
+        def spy(q, i, js, weights, scale):
+            out = direct(q, i, js, weights, scale)
+            seen.append((int(i), [int(j) for j in js], out))
+            return out
+
+        monkeypatch.setattr(param_choice, "_direct_exceeds", spy)
+        return seen
+
+    @staticmethod
+    def sobolev_case(n_levels=30, n_grid=40):
+        x = sobolev_like(n_levels=n_levels)
+        lam = x.op.slot_eigenvalues
+        data = x.with_coefficients(np.sqrt(lam) * x.coefficients)
+        return data, np.geomspace(1e-6, 0.5, n_grid), DeterministicNoise(1e-3)
+
+    def test_picks_around_block_boundaries(self, monkeypatch):
+        # blocks of p - 1, p and p + 1 candidates put the pick p at
+        # block + 1, block and block - 1; 40 points in blocks of 64 are a
+        # grid shorter than one block, blocks of 7 do not divide it
+        data, grid, noise = self.sobolev_case()
+        m = tikhonov()
+        picks = set()
+        for constant in np.geomspace(1e-4, 200.0, 14):
+            want = lepskii_pairwise(m, data, noise, grid, constant)
+            p = want.index
+            picks.add(p)
+            for rows in {p - 1, p, p + 1, 7, 64} - {-1, 0}:
+                monkeypatch.setattr(
+                    "specreg.param_choice._LEPSKII_BLOCK_BYTES",
+                    _blocks_of(rows, data, grid),
+                )
+                assert choose_lepskii(m, data, noise, grid, constant) == want
+        assert grid.size - 1 in picks and len(picks) >= 10
+
+    def test_first_candidate_of_a_block_fails_by_the_gram_form(
+        self, monkeypatch, rechecks
+    ):
+        # candidate p + 1 opens the second block and fails without a
+        # direct recheck: some Gram distance is surely past its scale
+        data, grid, noise = self.sobolev_case()
+        m = tikhonov()
+        want = lepskii_pairwise(m, data, noise, grid, 0.1)
+        p = want.index
+        assert 0 < p < grid.size - 1
+        monkeypatch.setattr(
+            "specreg.param_choice._LEPSKII_BLOCK_BYTES",
+            _blocks_of(p + 1, data, grid),
+        )
+        assert choose_lepskii(m, data, noise, grid, 0.1) == want
+        assert all(i <= p for i, _, _ in rechecks)
+
+    @pytest.mark.parametrize(
+        "method",
+        [tikhonov(), showalter(), iterated_tikhonov(2), landweber(0.9)],
+        ids=lambda m: m.name,
+    )
+    def test_first_candidate_of_a_block_fails_only_by_the_recheck(
+        self, monkeypatch, rechecks, method
+    ):
+        # the tie case of TestLepskii: scale_0 one ulp below the loop's
+        # distance of the pair (i, 0), which the Gram form cannot tell
+        # apart, with candidate i the first of its block
+        x = sobolev_like(n_levels=30)
+        lam = x.op.slot_eigenvalues
+        data = x.with_coefficients(np.sqrt(lam) * x.coefficients)
+        grid = np.geomspace(0.2, 0.25, 12)
+        noise = DeterministicNoise(0.5)
+        base = noise.delta * np.sqrt(method.c_q / grid[0])
+        weights = x.op.eigenvalues * data.level_mass
+        q0 = method.q(grid[0], x.op.eigenvalues)
+        found = 0
+        for i in range(1, grid.size):
+            qi = method.q(grid[i], x.op.eigenvalues)
+            dist = math.sqrt(float(np.sum((qi - q0) ** 2 * weights)))
+            for c in _neighbours(dist / base):
+                if c * base != dist:
+                    continue
+                below = np.nextafter(c, 0.0)
+                want = lepskii_pairwise(method, data, noise, grid, below)
+                if want.index != i - 1:
+                    continue
+                monkeypatch.setattr(
+                    "specreg.param_choice._LEPSKII_BLOCK_BYTES",
+                    _blocks_of(i, data, grid),
+                )
+                rechecks.clear()
+                assert choose_lepskii(method, data, noise, grid, below) == want
+                assert (i, True) in {(k, out) for k, _, out in rechecks}
+                found += 1
+        assert found >= 1
+
+    def test_overflow_guard_switches_on_inside_a_block(self, monkeypatch, rechecks):
+        # |q| jumps past the overflow bound at candidate 13, inside the
+        # block of candidates 8-15: from there on every pair goes to the
+        # direct sum, before it the Gram form decides
+        lam = 1.0 / np.arange(1, 21, dtype=float) ** 2
+        op = SpectralOperator(lam, np.ones(lam.size, dtype=np.int64))
+        data = SpectralElement(op, lam * np.arange(1, 21, dtype=float) ** -1.5)
+        grid = np.geomspace(1e-3, 1.0, 30)
+        m = _SteppedTikhonov(grid[13])
+        noise = DeterministicNoise(1e-2)
+        monkeypatch.setattr(
+            "specreg.param_choice._LEPSKII_BLOCK_BYTES", _blocks_of(8, data, grid)
+        )
+        picks = set()
+        for constant in [*np.geomspace(1e-3, 3.0, 8), *np.geomspace(1e150, 1e154, 8)]:
+            rechecks.clear()
+            got = choose_lepskii(m, data, noise, grid, constant)
+            assert got == lepskii_pairwise(m, data, noise, grid, constant)
+            picks.add(got.index)
+            for i, js, _ in rechecks:
+                assert i < 13 or js == list(range(i))
+            if got.index >= 13:
+                assert {i for i, _, _ in rechecks} >= set(range(13, got.index + 1))
+        assert {12, 28, 29} <= picks and len(picks) >= 6
+
+    @pytest.mark.parametrize("rows_bytes", [8, 8 * 40 * 5], ids=["one", "five+"])
+    def test_random_cases_in_small_blocks(self, monkeypatch, rows_bytes):
+        # random_rule_case has under 40 levels and 30 grid points, so the
+        # default block holds the whole grid; these blocks hold one
+        # candidate, and at least five
+        monkeypatch.setattr("specreg.param_choice._LEPSKII_BLOCK_BYTES", rows_bytes)
+        rng = np.random.default_rng(20160320)
+        for _ in range(120):
+            method, data, noise, grid, constant, _, _ = random_rule_case(rng)
+            got = choose_lepskii(method, data, noise, grid, constant)
+            assert got == lepskii_pairwise(method, data, noise, grid, constant)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_table_grows_across_blocks(self, monkeypatch, rows):
+        # a one-row reservation grows to max(block end, twice the rows)
+        monkeypatch.setattr("specreg.param_choice._Q_TABLE_BYTES", 8)
+        data, grid, noise = self.sobolev_case()
+        monkeypatch.setattr(
+            "specreg.param_choice._LEPSKII_BLOCK_BYTES", _blocks_of(rows, data, grid)
+        )
+        m = tikhonov()
+        for constant in np.geomspace(1e-4, 200.0, 8):
+            want = lepskii_pairwise(m, data, noise, grid, constant)
+            assert choose_lepskii(m, data, noise, grid, constant) == want
 
 
 class TestAgainstLoopReferences:

@@ -1,11 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specreg.errors import EnvelopeViolationError
+from specreg.errors import DomainError, EnvelopeViolationError
 from specreg.experiments import default_alpha_grid
 from specreg import filters
 from specreg.filters import catalogue, landweber, showalter, tikhonov
@@ -236,6 +237,18 @@ class TestBreakdowns:
         )
         assert max(br.bias, br.noise_term) <= br.total <= br.bias + br.noise_term
 
+    @pytest.mark.parametrize("idx", range(6), ids=lambda i: catalogue()[i].name)
+    def test_deterministic_bias_is_the_bias_table(self, idx):
+        # the breakdown reads bias from the worst case, which forms it as
+        # bias() does, bit for bit
+        for fixture in (single_layer_circle(500, 1.0), backward_heat(1.0, 30, 1.0)):
+            x = fixture.x
+            m = catalogue(x.op.norm_tstar_t)[idx]
+            for a in np.geomspace(1e-9, min(m.alpha_max, 1.0) * 0.999, 13):
+                for delta in (0.0, 1e-4, 0.3):
+                    br = error_breakdown(m, float(a), x, DeterministicNoise(delta))
+                    assert br.bias == bias(m, float(a), x)
+
     def test_white_breakdown(self):
         x = make_element([1.0, 0.1], [1, 2], [1.0, 2.0, -1.0])
         m = tikhonov()
@@ -413,3 +426,48 @@ class TestAlphaTables:
         op, _ = circle
         with pytest.raises(ValueError):
             propagation_norm(tikhonov(), np.ones((2, 2)), op)
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 17, 39, 3000, 50_000])
+    def test_propagation_rows_match_per_alpha_maxima(self, n_levels):
+        # bit for bit, from one row per block (50,000 levels) to the whole
+        # grid in one block (a single level)
+        lam = np.geomspace(1.0, 1e-9, n_levels)
+        op = SpectralOperator(lam, np.ones(n_levels, dtype=np.int64))
+        for m in catalogue():
+            alphas = np.geomspace(1e-10, min(m.alpha_max, 1.0) * 0.999, 23)
+            want = [np.max(np.abs(m.q(a, lam) * np.sqrt(lam))) for a in alphas]
+            assert np.array_equal(propagation_norm(m, alphas, op), want)
+            assert propagation_norm(m, float(alphas[5]), op) == want[5]
+
+    def test_propagation_checks_its_domain_once(self, circle, monkeypatch):
+        # an alpha past alpha_max in the last block of a long grid and a
+        # negative level raise what a q call raises, from one check
+        op, _ = circle
+        lam = op.eigenvalues
+        m = catalogue(op.norm_tstar_t)[3]  # landweber: finite alpha_max
+        rows = filters._TABLE_BYTES // (8 * lam.size)
+        alphas = np.geomspace(1e-6, m.alpha_max, 5 * rows + 2)
+        alphas[-1] = 2.0 * m.alpha_max
+        checks = []
+        arguments = filters.FilterMethod._arguments
+
+        def spy(self, alpha, lam):
+            checks.append(np.shape(alpha))
+            return arguments(self, alpha, lam)
+
+        monkeypatch.setattr(filters.FilterMethod, "_arguments", spy)
+        propagation_norm(m, alphas[:-1], op)
+        assert checks == [alphas[:-1].shape]
+        monkeypatch.undo()
+        with pytest.raises(DomainError) as want:
+            m.q(float(alphas[-1]), lam)
+        with pytest.raises(DomainError) as got:
+            propagation_norm(m, alphas, op)
+        assert str(got.value) == str(want.value)
+
+        negative = types.SimpleNamespace(eigenvalues=np.array([1.0, 0.5, -1e-3]))
+        with pytest.raises(DomainError) as want:
+            m.q(0.1, negative.eigenvalues)
+        with pytest.raises(DomainError) as got:
+            propagation_norm(m, np.geomspace(1e-3, 0.5, 9), negative)
+        assert str(got.value) == str(want.value) == "lam must be >= 0"
