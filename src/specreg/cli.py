@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -64,11 +65,17 @@ def _cmd_check_filter(args) -> int:
     try:
         with open(args.method) as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError("a method spec must be a JSON object")
+        op_norm_sq = float(spec.get("op_norm_sq", 1.0))
+        if not (math.isfinite(op_norm_sq) and op_norm_sq > 0):
+            raise ValueError(
+                f"op_norm_sq must be finite and positive, got {op_norm_sq!r}"
+            )
         method = filter_from_dict(spec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"bad method spec: {exc}", file=sys.stderr)
         return 2
-    op_norm_sq = float(spec.get("op_norm_sq", 1.0))
     alpha_hi = min(method.alpha_max, op_norm_sq)
     alphas = np.geomspace(1e-8, alpha_hi, 100)
     if method.snaps_to_iteration_grid:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -78,8 +79,6 @@ _POINTS_PER_DECADE = 40
 _TAIL_FRACTION = 0.01
 _MIN_FIT_ROWS = 4
 _MIN_FIT_DECADES = 3.0
-# same protocol entropy as the seeded draws in param_choice
-_DET_DATA_ENTROPY = 7011
 _MC_ROW_LIMIT = 3
 
 
@@ -118,6 +117,21 @@ def _finite(path: str, value) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{path} must be finite, got {x!r}")
     return x
+
+
+def _positive(path: str, value) -> float:
+    """A finite number > 0."""
+    x = _finite(path, value)
+    if not x > 0:
+        raise DomainError(f"{path} must be positive, got {x!r}")
+    return x
+
+
+def _object(path: str, value) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{path} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
 
 
 def _whole(path: str, value, minimum: int = 0) -> int:
@@ -200,7 +214,7 @@ class WhiteNoiseSweep:
 
 
 def sweep_from_dict(d: dict):
-    kind = d["kind"]
+    kind = _object("noise", d)["kind"]
     if kind == "deterministic":
         return DeterministicSweep(d["deltas"])
     if kind == "white":
@@ -247,17 +261,18 @@ class LogLaw:
 
 
 def rate_model_from_dict(d: dict):
-    kind = d["kind"]
+    kind = _object("rate_model", d)["kind"]
     if kind == "power":
         return PowerLaw(
-            _field("rate_model.expected", float, d["expected"]),
-            tolerance=_field("rate_model.tolerance", float, d.get("tolerance", 0.05)),
+            _finite("rate_model.expected", d["expected"]),
+            tolerance=_positive("rate_model.tolerance", d.get("tolerance", 0.05)),
         )
     if kind == "log":
-        return LogLaw(
-            _field("rate_model.beta", float, d["beta"]),
-            band_limit=_field("rate_model.band_limit", float, d.get("band_limit", 2.0)),
-        )
+        # the band is a max/min ratio, so a limit below 1 always fails
+        band_limit = _finite("rate_model.band_limit", d.get("band_limit", 2.0))
+        if not band_limit >= 1:
+            raise DomainError(f"rate_model.band_limit must be >= 1, got {band_limit!r}")
+        return LogLaw(_positive("rate_model.beta", d["beta"]), band_limit=band_limit)
     raise DomainError(f"unknown rate model {kind!r}")
 
 
@@ -300,7 +315,7 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        if not self.name or "/" in self.name:
+        if not isinstance(self.name, str) or not self.name or "/" in self.name:
             raise DomainError("config name must be a nonempty path-safe string")
         if self.operation not in self._OPERATIONS:
             raise DomainError(f"unknown operation {self.operation!r}")
@@ -360,14 +375,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise DomainError("a config must be a JSON object")
+        d = _object("config", d)
         return cls(
             name=d["name"],
             operation=d["operation"],
             problem=_field("problem", ProblemDescriptor.from_dict, d["problem"]),
-            method=_field("method", dict, d["method"]),
-            rule=_field("rule", dict, d.get("rule", {"kind": "oracle"})),
+            method=_object("method", d["method"]),
+            rule=_object("rule", d.get("rule", {"kind": "oracle"})),
             noise=sweep_from_dict(d["noise"]) if "noise" in d else None,
             rate_model=(
                 rate_model_from_dict(d["rate_model"])
@@ -375,11 +389,11 @@ class ExperimentConfig:
                 else None
             ),
             alpha_grid=d.get("alpha_grid"),
-            element=_field("element", dict, d["element"]) if "element" in d else None,
+            element=_object("element", d["element"]) if "element" in d else None,
             nu=_field("nu", float, d.get("nu", 1.5)),
             growth_limit=_field("growth_limit", float, d.get("growth_limit", 10.0)),
             mu=_field("mu", float, d["mu"]) if "mu" in d else None,
-            kappa=_field("kappa", dict, d["kappa"]) if "kappa" in d else None,
+            kappa=_object("kappa", d["kappa"]) if "kappa" in d else None,
             n_probes=d.get("n_probes", 10_000),
             seed=d.get("seed", 0),
             out_dir=d.get("out_dir"),
@@ -415,9 +429,7 @@ def _resolve_rule(spec: dict, kappa: IndexFunction):
             raise DomainError(f"rule.tau must exceed 1, got {tau!r}")
         return discrepancy_rule(tau), {"kind": "discrepancy", "tau": tau}
     if kind == "lepskii":
-        c = _finite("rule.constant", spec.get("constant", 4.0))
-        if not c > 0:
-            raise DomainError(f"rule.constant must be positive, got {c!r}")
+        c = _positive("rule.constant", spec.get("constant", 4.0))
         return lepskii_rule(c), {"kind": "lepskii", "constant": c}
     raise DomainError(f"unknown rule kind {kind!r}")
 
@@ -480,20 +492,21 @@ def resolve_element(cfg: ExperimentConfig, fixture: Fixture):
     spec = cfg.element
     if spec is None:
         return fixture.x, fixture.tail_norm()
-    if spec["kind"] == "coefficient_power":
-        p = _field("element.p", float, spec["p"])
+    kind = spec.get("kind")
+    if kind == "coefficient_power":
+        p = _field("element.p", float, spec.get("p"))
         return fixture.element(p), fixture.tail_norm(p)
-    if spec["kind"] == "range_power":
+    if kind == "range_power":
         # x = (T*T)^s applied to the fixture element; the dropped modes sit
         # below the smallest kept eigenvalue, so lam_min^s scales the tail
-        s = _field("element.s", float, spec["s"])
+        s = _field("element.s", float, spec.get("s"))
         if s <= 0:
             raise DomainError("range_power needs s > 0")
         op = fixture.op
         coeff = fixture.x.coefficients * op.slot_eigenvalues**s
         lam_min = float(op.eigenvalues[-1])
         return fixture.x.with_coefficients(coeff), fixture.tail_norm() * lam_min**s
-    raise DomainError(f"unknown element override {spec['kind']!r}")
+    raise DomainError(f"unknown element override {kind!r}")
 
 
 def _resolve_problem(cfg: ExperimentConfig):
@@ -774,59 +787,82 @@ def _fit_with_audit(rows, model, notes):
 # drivers
 
 
-def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
-    """Error against the noise budget delta at oracle or rule-chosen alpha."""
-    if not isinstance(cfg.noise, DeterministicSweep):
-        raise DomainError("deterministic_rate needs a deterministic sweep")
+def run_rate(cfg: ExperimentConfig) -> RateReport:
+    """Error against the noise level at oracle or rule-chosen alpha.
+
+    ``deterministic_rate`` sweeps the worst-case error over delta balls,
+    ``white_noise_rate`` the exact root mean squared error over epsilon,
+    with Monte Carlo spot checks.  Both read the grid's bias and unit
+    noise tables (||R_alpha|| for delta, sqrt(trace) for epsilon).
+    """
+    kind = cfg.operation
+    white = kind == "white_noise_rate"
+    if not isinstance(cfg.noise, WhiteNoiseSweep if white else DeterministicSweep):
+        label = "white noise" if white else "deterministic"
+        raise DomainError(f"{kind} needs a {label} sweep")
     if cfg.rate_model is None:
-        raise DomainError("deterministic_rate needs a rate model")
+        raise DomainError(f"{kind} needs a rate model")
     op, kappa, x, tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
     rule, rule_echo = _resolve_rule(cfg.rule, kappa)
     alphas = _resolve_alphas(cfg, op, method)
     notes: list[str] = []
+    verdicts = []
 
-    lam = op.slot_eigenvalues
     bias_arr = bias(method, alphas, x)
-    prop_arr = propagation_norm(method, alphas, op)
+    if white:
+        unit_arr = np.sqrt(variance_trace(method, alphas, op))
+        # precondition: the variance envelope must behave on the grid
+        # before any rate is read off; sqrt(trace) is positive, finite and
+        # nonincreasing in alpha for every admissible filter
+        env_ok = (
+            bool(np.all(np.isfinite(unit_arr)))
+            and bool(np.all(unit_arr > 0))
+            and bool(np.all(np.diff(unit_arr) <= 1e-9 * unit_arr[:-1]))
+        )
+        verdicts.append(
+            Verdict(
+                "variance_envelope",
+                env_ok,
+                {
+                    "sd_at_alpha_min": float(unit_arr[0]),
+                    "sd_at_alpha_max": float(unit_arr[-1]),
+                },
+            )
+        )
+        if not env_ok:
+            raise DomainError("variance trace is not a certified envelope")
+        noise_at = functools.partial(WhiteNoise, seed=cfg.noise.seed)
+    else:
+        unit_arr = propagation_norm(method, alphas, op)
+        noise_at = DeterministicNoise
 
-    def oracle_row(delta: float) -> RateRow:
+    def oracle_row(level: float) -> RateRow:
         choice, value = grid_inf_error(
-            method,
-            x,
-            DeterministicNoise(delta),
-            alphas,
-            bias_arr=bias_arr,
-            prop_arr=prop_arr,
+            method, x, noise_at(level), alphas, bias_arr=bias_arr, prop_arr=unit_arr
         )
         i = choice.index
         return RateRow(
-            level=delta,
+            level=level,
             alpha=choice.alpha,
             bias=float(bias_arr[i]),
-            noise_term=float(prop_arr[i]) * delta,
+            noise_term=float(unit_arr[i]) * level,
             total=value,
             tail_bound=tail,
         )
 
-    g = x.with_coefficients(np.sqrt(lam) * x.coefficients)
-
-    def rule_data(idx: int, noise: DeterministicNoise) -> SpectralElement:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_DET_DATA_ENTROPY, spawn_key=(idx,))
-        )
-        xi = rng.standard_normal(op.n_slots)
-        xi *= noise.delta / float(np.linalg.norm(xi))
-        return add_noise(g, noise, xi=xi)
+    g = x.with_coefficients(np.sqrt(op.slot_eigenvalues) * x.coefficients)
 
     def rule_row(item) -> RateRow:
-        idx, delta = item
-        noise = DeterministicNoise(delta)
+        idx, level = item
+        noise = noise_at(level)
         # the data dies with the rule call, before the row is scored
-        choice = rule(method, rule_data(idx, noise), noise, alphas, x_true=x)
+        choice = rule(
+            method, add_noise(g, noise, replicate=idx), noise, alphas, x_true=x
+        )
         bd = error_breakdown(method, choice.alpha, x, noise)
         return RateRow(
-            level=delta,
+            level=level,
             alpha=choice.alpha,
             bias=bd.bias,
             noise_term=bd.noise_term,
@@ -834,15 +870,17 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
             tail_bound=tail,
         )
 
+    levels = list(cfg.noise.levels)
     if rule is None:
-        rows = tuple(_map_rows(oracle_row, list(cfg.noise.deltas)))
+        rows = tuple(_map_rows(oracle_row, levels))
     else:
-        rows = tuple(_map_rows(rule_row, list(enumerate(cfg.noise.deltas))))
+        rows = tuple(_map_rows(rule_row, list(enumerate(levels))))
 
-    verdicts = []
     fit, fit_verdict = _fit_with_audit(rows, cfg.rate_model, notes)
     verdicts.append(fit_verdict)
-    if rule is None:
+    if white and cfg.noise.replicates:
+        verdicts.append(_mc_agreement(method, x, rows, cfg.noise))
+    if not white and rule is None:
         # the oracle error is an infimum of pointwise nondecreasing maps
         totals = np.array([r.total for r in rows])[::-1]
         verdicts.append(
@@ -853,7 +891,7 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
             )
         )
     return RateReport(
-        kind="deterministic_rate",
+        kind=kind,
         rows=rows,
         fit=fit,
         verdicts=tuple(verdicts),
@@ -862,128 +900,40 @@ def run_deterministic_rate(cfg: ExperimentConfig) -> RateReport:
     )
 
 
-def run_white_noise_rate(cfg: ExperimentConfig) -> RateReport:
-    """Exact root mean squared error against epsilon, with MC spot checks."""
-    if not isinstance(cfg.noise, WhiteNoiseSweep):
-        raise DomainError("white_noise_rate needs a white noise sweep")
-    if cfg.rate_model is None:
-        raise DomainError("white_noise_rate needs a rate model")
-    op, kappa, x, tail = _resolve_problem(cfg)
-    method = _resolve_method(cfg.method, op)
-    rule, rule_echo = _resolve_rule(cfg.rule, kappa)
-    alphas = _resolve_alphas(cfg, op, method)
-    notes: list[str] = []
-
-    lam = op.slot_eigenvalues
-    bias_arr = bias(method, alphas, x)
-    trace_arr = variance_trace(method, alphas, op)
-    sd_arr = np.sqrt(trace_arr)
-
-    # precondition: the variance envelope must behave on the grid before
-    # any rate is read off; sqrt(trace) is positive, finite and
-    # nonincreasing in alpha for every admissible filter
-    env_ok = (
-        bool(np.all(np.isfinite(sd_arr)))
-        and bool(np.all(sd_arr > 0))
-        and bool(np.all(np.diff(sd_arr) <= 1e-9 * sd_arr[:-1]))
+def _mc_agreement(method, x, rows, sweep: WhiteNoiseSweep) -> Verdict:
+    """Monte Carlo mean squared error within 3 standard errors of the
+    exact one on up to three rows: first, middle and last."""
+    picks = sorted({0, len(rows) // 2, len(rows) - 1})[:_MC_ROW_LIMIT]
+    picked = [rows[i] for i in picks]
+    est = mse_monte_carlo(
+        method,
+        np.array([row.alpha for row in picked]),
+        x,
+        [WhiteNoise(row.level, seed=sweep.seed) for row in picked],
+        sweep.replicates,
     )
-    verdicts = [
-        Verdict(
-            "variance_envelope",
-            env_ok,
+    mc_detail = []
+    mc_ok = True
+    for row, mc_ms, se in zip(
+        picked, est.mean_squared.tolist(), est.se_mean_squared.tolist()
+    ):
+        exact_ms = row.bias**2 + row.noise_term**2
+        gap = abs(mc_ms - exact_ms)
+        ok = gap <= 3.0 * se
+        mc_ok = mc_ok and ok
+        mc_detail.append(
             {
-                "sd_at_alpha_min": float(sd_arr[0]),
-                "sd_at_alpha_max": float(sd_arr[-1]),
-            },
+                "level": row.level,
+                "exact_mse": exact_ms,
+                "mc_mse": mc_ms,
+                "se": se,
+                "within_3se": ok,
+            }
         )
-    ]
-    if not env_ok:
-        raise DomainError("variance trace is not a certified envelope")
-
-    seed = cfg.noise.seed
-
-    def oracle_row(eps: float) -> RateRow:
-        totals = np.hypot(bias_arr, eps * sd_arr)
-        i = int(np.argmin(totals))
-        return RateRow(
-            level=eps,
-            alpha=float(alphas[i]),
-            bias=float(bias_arr[i]),
-            noise_term=float(eps * sd_arr[i]),
-            total=float(totals[i]),
-            tail_bound=tail,
-        )
-
-    g = x.with_coefficients(np.sqrt(lam) * x.coefficients)
-
-    def rule_row(item) -> RateRow:
-        idx, eps = item
-        noise = WhiteNoise(eps, seed=seed)
-        data = add_noise(g, noise, replicate=idx)
-        choice = rule(method, data, noise, alphas, x_true=x)
-        bd = error_breakdown(method, choice.alpha, x, noise)
-        return RateRow(
-            level=eps,
-            alpha=choice.alpha,
-            bias=bd.bias,
-            noise_term=bd.noise_term,
-            total=bd.total,
-            tail_bound=tail,
-        )
-
-    if rule is None:
-        rows = tuple(_map_rows(oracle_row, list(cfg.noise.epsilons)))
-    else:
-        rows = tuple(
-            _map_rows(rule_row, list(enumerate(cfg.noise.epsilons)))
-        )
-
-    fit, fit_verdict = _fit_with_audit(rows, cfg.rate_model, notes)
-    verdicts.append(fit_verdict)
-
-    if cfg.noise.replicates:
-        picks = sorted({0, len(rows) // 2, len(rows) - 1})[:_MC_ROW_LIMIT]
-        picked = [rows[i] for i in picks]
-        est = mse_monte_carlo(
-            method,
-            np.array([row.alpha for row in picked]),
-            x,
-            [WhiteNoise(row.level, seed=seed) for row in picked],
-            cfg.noise.replicates,
-        )
-        mc_detail = []
-        mc_ok = True
-        for row, mc_ms, se in zip(
-            picked, est.mean_squared.tolist(), est.se_mean_squared.tolist()
-        ):
-            exact_ms = row.bias**2 + row.noise_term**2
-            gap = abs(mc_ms - exact_ms)
-            ok = gap <= 3.0 * se
-            mc_ok = mc_ok and ok
-            mc_detail.append(
-                {
-                    "level": row.level,
-                    "exact_mse": exact_ms,
-                    "mc_mse": mc_ms,
-                    "se": se,
-                    "within_3se": ok,
-                }
-            )
-        verdicts.append(
-            Verdict(
-                "mc_agreement",
-                mc_ok,
-                {"replicates": cfg.noise.replicates, "rows": mc_detail},
-            )
-        )
-
-    return RateReport(
-        kind="white_noise_rate",
-        rows=rows,
-        fit=fit,
-        verdicts=tuple(verdicts),
-        config=_resolved_config(cfg, op, method, rule_echo, alphas),
-        notes=tuple(notes),
+    return Verdict(
+        "mc_agreement",
+        mc_ok,
+        {"replicates": sweep.replicates, "rows": mc_detail},
     )
 
 
@@ -1165,8 +1115,8 @@ def run_vsc_certificate(cfg: ExperimentConfig) -> RateReport:
 
 
 _DRIVERS = {
-    "deterministic_rate": run_deterministic_rate,
-    "white_noise_rate": run_white_noise_rate,
+    "deterministic_rate": run_rate,
+    "white_noise_rate": run_rate,
     "bias_decay": run_bias_decay,
     "vsc_certificate": run_vsc_certificate,
 }

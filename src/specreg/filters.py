@@ -362,7 +362,11 @@ def filter_from_dict(d: dict) -> FilterMethod:
     if name == "showalter":
         return showalter()
     if name == "iterated_tikhonov":
-        return iterated_tikhonov(int(d["k"]))
+        k = d["k"]
+        whole = isinstance(k, int) or (isinstance(k, float) and k.is_integer())
+        if isinstance(k, bool) or not whole:
+            raise ValueError(f"k must be a whole number, got {k!r}")
+        return iterated_tikhonov(int(k))
     if name == "landweber":
         return landweber(
             mu_step=float(d["mu_step"]),

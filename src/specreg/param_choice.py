@@ -309,6 +309,11 @@ def grid_inf_error(
 ):
     """Infimum over the grid of the exact error criterion.
 
+    ``bias_arr`` and ``prop_arr`` are the grid's bias and unit noise
+    tables, built here when not given: the propagation norm ||R_alpha||
+    for deterministic noise, sqrt(trace(R_alpha R_alpha*)) for white
+    noise, so the noise term is the level times the unit table.  White
+    noise takes the least root mean squared error directly.
     Deterministic grids are pruned with the sandwich
     max(bias, ||R|| delta) <= worst case <= bias + ||R|| delta
     before the exact problem is solved on the survivors, all of them in
@@ -320,17 +325,20 @@ def grid_inf_error(
     (AlphaChoice, value).
     """
     alphas = _ascending(alphas)
-    if isinstance(noise, WhiteNoise):
-        stddev = noise.epsilon * np.sqrt(variance_trace(method, alphas, x.op))
-        vals = np.hypot(bias(method, alphas, x), stddev)
-        i = int(np.argmin(vals))
-        return AlphaChoice(float(alphas[i]), i), float(vals[i])
-    if not isinstance(noise, DeterministicNoise):
+    white = isinstance(noise, WhiteNoise)
+    if not white and not isinstance(noise, DeterministicNoise):
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
-    delta = noise.delta
     if bias_arr is None or prop_arr is None:
         bias_arr = bias(method, alphas, x)
-        prop_arr = propagation_norm(method, alphas, x.op)
+        if white:
+            prop_arr = np.sqrt(variance_trace(method, alphas, x.op))
+        else:
+            prop_arr = propagation_norm(method, alphas, x.op)
+    if white:
+        vals = np.hypot(bias_arr, noise.epsilon * prop_arr)
+        i = int(np.argmin(vals))
+        return AlphaChoice(float(alphas[i]), i), float(vals[i])
+    delta = noise.delta
     lb = np.maximum(bias_arr, prop_arr * delta)
     ub = bias_arr + prop_arr * delta
     cutoff = float(np.min(ub))
@@ -377,25 +385,11 @@ def quasioptimality_ratio(
     a = _ascending(alphas)
     lam = x.op.slot_eigenvalues
     clean = x.with_coefficients(np.sqrt(lam) * x.coefficients)
-    if isinstance(noise, DeterministicNoise) and noise.delta > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=7011, spawn_key=(replicate,))
-        )
-        u = rng.standard_normal(x.op.n_slots)
-        xi = noise.delta * u / np.linalg.norm(u)
-        data = add_noise(clean, noise, xi=xi)
-    else:
-        data = add_noise(clean, noise, replicate=replicate)
+    data = add_noise(clean, noise, replicate=replicate)
     choice = rule(
         method=method, data=data, noise=noise, alphas=a, x_true=x
     )
-
-    def criterion(alpha: float) -> float:
-        if isinstance(noise, DeterministicNoise):
-            return worst_case_error(method, alpha, x, noise.delta).value
-        return error_breakdown(method, alpha, x, noise).total
-
-    achieved = criterion(choice.alpha)
+    achieved = error_breakdown(method, choice.alpha, x, noise).total
     best, best_value = grid_inf_error(method, x, noise, a)
     return QuasiOptReport(
         ratio=achieved / best_value,

@@ -74,7 +74,10 @@ def bracketed_roots(
         if slope is None:
             trial = mid
         elif n:
-            trial = np.where((lo < newton) & (newton < hi), newton, mid)
+            # a closed bracket keeps its last trial point, so one closed
+            # before its first evaluation keeps lo as it does alone
+            inside = (lo < newton) & (newton < hi)
+            trial = np.where(was_live, np.where(inside, newton, mid), trial)
         n_open = np.count_nonzero(live)
         if n_open < n_was:
             # brackets that closed on this step made n evaluations
@@ -102,10 +105,6 @@ def bracketed_roots(
             close = newton.clip(lo, hi)
             np.copyto(lo, close, where=tiny)
             np.copyto(hi, close, where=tiny)
-            if n_open < live.size:
-                # a closed bracket keeps its trial point: the next trial
-                # of its frozen bracket is this one again or its midpoint
-                newton = np.where(live, newton, trial)
     raise DomainError(
         f"{int(np.count_nonzero(live))} root bracket(s) still open "
         f"after {MAX_STEPS} steps"

@@ -28,6 +28,9 @@ __all__ = [
     "noise_generator",
 ]
 
+# protocol entropy of the seeded deterministic data directions
+_DET_DATA_ENTROPY = 7011
+
 
 @dataclasses.dataclass(frozen=True)
 class SpectralOperator:
@@ -270,14 +273,20 @@ def add_noise(
     """Perturb data ``g`` according to the noise model.
 
     Deterministic: adds a supplied ``xi`` (an element over the same basis,
-    or a raw coefficient array) after checking ||xi|| <= delta; returns
-    ``g`` unchanged when no xi is supplied; worst-case analysis happens
-    downstream.  White: adds eps * W with W drawn reproducibly from
+    or a raw coefficient array) after checking ||xi|| <= delta; without
+    one, adds a reproducible direction on the delta sphere keyed by
+    ``replicate`` (the worst case is analysed downstream), and delta = 0
+    gives back ``g``.  White: adds eps * W with W drawn reproducibly from
     (seed, replicate).
     """
     if isinstance(noise, DeterministicNoise):
         if xi is None:
-            return g.with_coefficients(g.coefficients.copy())
+            if noise.delta == 0:
+                return g.with_coefficients(g.coefficients.copy())
+            seq = np.random.SeedSequence(_DET_DATA_ENTROPY, spawn_key=(replicate,))
+            xi = np.random.default_rng(seq).standard_normal(g.op.n_slots)
+            xi *= noise.delta / float(np.linalg.norm(xi))
+            return g.with_coefficients(g.coefficients + xi)
         if isinstance(xi, SpectralElement):
             _require_same_basis(g, xi)
             xi = xi.coefficients

@@ -24,8 +24,7 @@ from specreg.experiments import (
     WhiteNoiseSweep,
     default_alpha_grid,
     run_bias_decay,
-    run_deterministic_rate,
-    run_white_noise_rate,
+    run_rate,
 )
 from specreg.filters import (
     catalogue,
@@ -172,7 +171,7 @@ def test_04_deterministic_rate_circle(capsys):
             noise=DeterministicSweep(tuple(10.0**-k for k in range(2, 8))),
             rate_model=PowerLaw(0.5),
         )
-        rep = run_deterministic_rate(cfg)
+        rep = run_rate(cfg)
         slopes[spec["method"]] = rep.fit.value if rep.fit else float("nan")
         ok = ok and rep.passed and abs(rep.fit.value - 0.5) <= 0.05
     elapsed = time.perf_counter() - t0
@@ -197,7 +196,7 @@ def test_05_white_noise_rate_circle(capsys):
         ),
         rate_model=PowerLaw(0.4),
     )
-    rep = run_white_noise_rate(cfg)
+    rep = run_rate(cfg)
     mc = {v.name: v for v in rep.verdicts}["mc_agreement"]
     ok = (
         rep.passed
@@ -224,7 +223,7 @@ def test_06_backward_heat_log_band(capsys):
         noise=DeterministicSweep(tuple(10.0**-k for k in range(3, 13))),
         rate_model=LogLaw(1.0),
     )
-    rep = run_deterministic_rate(cfg)
+    rep = run_rate(cfg)
     ok = rep.passed and rep.fit.value <= 2.0
     elapsed = time.perf_counter() - t0
     _report(

@@ -82,6 +82,14 @@ def _white_noise(**noise):
     }
 
 
+def _power(**fields):
+    return {"rate_model": {"kind": "power", "expected": 0.5, **fields}}
+
+
+def _log(**fields):
+    return {"rate_model": {"kind": "log", "beta": 1.0, **fields}}
+
+
 @pytest.mark.parametrize(
     "over,field",
     [
@@ -132,6 +140,32 @@ def _white_noise(**noise):
         ({"rule": {"kind": "lepskii", "constant": "abc"}}, "rule.constant"),
         ({"rule": {"kind": "discrepancy", "tau": float("inf")}}, "rule.tau"),
         ({"rule": {"kind": "discrepancy", "tau": float("nan")}}, "rule.tau"),
+        ({"name": 5}, "name"),
+        ({"noise": 5}, "noise"),
+        ({"noise": [1e-1, 1e-2]}, "noise"),
+        ({"noise": "deterministic"}, "noise"),
+        ({"noise": None}, "noise"),
+        ({"rate_model": 0.5}, "rate_model"),
+        ({"rate_model": [0.5]}, "rate_model"),
+        ({"rate_model": "power"}, "rate_model"),
+        ({"rate_model": None}, "rate_model"),
+        (_power(expected=float("nan")), "rate_model.expected"),
+        (_power(expected=True), "rate_model.expected"),
+        (_power(tolerance=float("nan")), "rate_model.tolerance"),
+        (_power(tolerance=-1), "rate_model.tolerance"),
+        (_power(tolerance=0), "rate_model.tolerance"),
+        (_power(tolerance=True), "rate_model.tolerance"),
+        (_log(beta=float("nan")), "rate_model.beta"),
+        (_log(beta=-1), "rate_model.beta"),
+        (_log(beta=True), "rate_model.beta"),
+        (_log(band_limit=float("nan")), "rate_model.band_limit"),
+        (_log(band_limit=0.5), "rate_model.band_limit"),
+        (_log(band_limit=-1), "rate_model.band_limit"),
+        (_log(band_limit=True), "rate_model.band_limit"),
+        ({"method": {"method": "iterated_tikhonov", "k": 2.5}}, "k must be a whole"),
+        ({"method": {"method": "iterated_tikhonov", "k": True}}, "k must be a whole"),
+        ({"element": {"kind": "coefficient_power"}}, "element.p"),
+        ({"element": {"kind": "range_power"}}, "element.s"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
@@ -140,7 +174,14 @@ def _white_noise(**noise):
         "noise_seed_negative", "seed_negative", "seed_fraction",
         "n_probes_fraction", "n_probes_negative", "constant_negative",
         "constant_zero", "constant_nan", "constant_infinite", "constant_bool",
-        "constant_string", "tau_infinite", "tau_nan",
+        "constant_string", "tau_infinite", "tau_nan", "name_number",
+        "noise_number", "noise_list", "noise_string", "noise_null",
+        "rate_model_number", "rate_model_list", "rate_model_string",
+        "rate_model_null", "expected_nan", "expected_bool", "tolerance_nan",
+        "tolerance_negative", "tolerance_zero", "tolerance_bool", "beta_nan",
+        "beta_negative", "beta_bool", "band_limit_nan", "band_limit_below_one",
+        "band_limit_negative", "band_limit_bool", "k_fraction", "k_bool",
+        "element_no_p", "element_no_s",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
@@ -149,7 +190,7 @@ def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
     else:
-        path = write_config(tmp_path, name="run-d", **over)
+        path = write_config(tmp_path, **{"name": "run-d", **over})
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -188,8 +229,28 @@ def test_check_filter_iterative_method(tmp_path, capsys):
     assert capsys.readouterr().out.count("[PASS]") == 4
 
 
-def test_check_filter_bad_spec(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"method": "gaussian_blur"},
+        "x",
+        None,
+        [1],
+        {"method": "tikhonov", "op_norm_sq": "x"},
+        {"method": "tikhonov", "op_norm_sq": None},
+        {"method": "landweber", "mu_step": 0.9, "op_norm_sq": "x"},
+        {"method": "iterated_tikhonov", "k": 2.5},
+        {"method": "iterated_tikhonov", "k": True},
+    ],
+    ids=[
+        "unknown_method", "string", "null", "list", "op_norm_sq_string",
+        "op_norm_sq_null", "landweber_op_norm_sq_string", "k_fraction", "k_bool",
+    ],
+)
+def test_check_filter_bad_spec(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"method": "gaussian_blur"}))
+    path.write_text(json.dumps(spec))
     assert main(["check-filter", str(path)]) == 2
-    assert "bad method spec" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "bad method spec" in err

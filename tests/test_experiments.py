@@ -17,10 +17,9 @@ from specreg.experiments import (
     fit_rate,
     resolve_element,
     run_bias_decay,
-    run_deterministic_rate,
     run_experiment,
+    run_rate,
     run_vsc_certificate,
-    run_white_noise_rate,
     sweep_from_dict,
 )
 from specreg.filters import landweber, tikhonov
@@ -201,7 +200,7 @@ class TestElementOverride:
 
 class TestDeterministicRate:
     def test_oracle_recovers_square_root_rate(self):
-        rep = run_deterministic_rate(det_config(problem=circle(20000)))
+        rep = run_rate(det_config(problem=circle(20000)))
         assert rep.passed
         assert abs(rep.fit.value - 0.5) < 0.05
         names = [v.name for v in rep.verdicts]
@@ -211,7 +210,7 @@ class TestDeterministicRate:
 
     def test_tail_audit_refuses_polluted_fit(self):
         # at N=2000 the truncation tail pollutes every level below 1e-2
-        rep = run_deterministic_rate(
+        rep = run_rate(
             det_config(noise=DeterministicSweep((1e-3, 1e-4, 1e-5, 1e-6)))
         )
         assert not rep.passed
@@ -223,7 +222,7 @@ class TestDeterministicRate:
         assert len(rep.rows) == 4
 
     def test_discrepancy_rule_runs_and_tracks_budget(self):
-        rep = run_deterministic_rate(
+        rep = run_rate(
             det_config(
                 problem=circle(20000),
                 rule={"kind": "discrepancy", "tau": 2.0},
@@ -236,7 +235,7 @@ class TestDeterministicRate:
 
     def test_report_embeds_resolved_config(self):
         cfg = det_config(problem=circle(500), method={"method": "landweber"})
-        rep = run_deterministic_rate(cfg)
+        rep = run_rate(cfg)
         assert rep.config["method"]["method"] == "landweber"
         assert rep.config["method"]["mu_step"] == pytest.approx(0.9)
         spec = rep.config["alpha_grid_spec"]
@@ -248,7 +247,7 @@ class TestDeterministicRate:
     @pytest.mark.parametrize("method", ["tikhonov", "landweber"])
     def test_echoed_config_reruns_to_the_same_grid_and_rows(self, method):
         cfg = det_config(problem=circle(500), method={"method": method})
-        rep = run_deterministic_rate(cfg)
+        rep = run_rate(cfg)
         echoed = ExperimentConfig.from_dict(json.loads(json.dumps(rep.config)))
         op = cfg.problem.build().op
         first, second = (
@@ -257,33 +256,33 @@ class TestDeterministicRate:
         )
         assert first.tobytes() == second.tobytes()
         assert first.size == rep.config["alpha_grid_spec"]["count"]
-        again = run_deterministic_rate(echoed)
+        again = run_rate(echoed)
         assert again.config == rep.config
         assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in rep.rows]
 
     def test_explicit_grid_is_echoed_as_given(self):
         grid = (1e-6, 1e-4, 1e-3, 1e-2)
-        rep = run_deterministic_rate(det_config(problem=circle(500), alpha_grid=grid))
+        rep = run_rate(det_config(problem=circle(500), alpha_grid=grid))
         assert rep.config["alpha_grid"] == list(grid)
         assert "alpha_grid_spec" not in rep.config
 
     def test_rerun_is_bit_identical(self):
         cfg = det_config(problem=circle(500))
-        a = run_deterministic_rate(cfg).to_dict()
-        b = run_deterministic_rate(cfg).to_dict()
+        a = run_rate(cfg).to_dict()
+        b = run_rate(cfg).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_threaded_rows_match_serial(self, monkeypatch):
         cfg = det_config(problem=circle(500))
-        serial = run_deterministic_rate(cfg).to_dict()
+        serial = run_rate(cfg).to_dict()
         monkeypatch.setenv("SPECREG_THREADS", "4")
-        threaded = run_deterministic_rate(cfg).to_dict()
+        threaded = run_rate(cfg).to_dict()
         assert serial == threaded
 
     def test_needs_deterministic_sweep(self):
         cfg = det_config(noise=WhiteNoiseSweep((1e-2, 1e-3, 1e-4, 1e-5)))
         with pytest.raises(DomainError, match="deterministic sweep"):
-            run_deterministic_rate(cfg)
+            run_rate(cfg)
 
 
 class TestWhiteNoiseRate:
@@ -300,7 +299,7 @@ class TestWhiteNoiseRate:
         return ExperimentConfig(**base)
 
     def test_exact_mse_rate(self):
-        rep = run_white_noise_rate(self.white_config())
+        rep = run_rate(self.white_config())
         assert rep.passed
         assert abs(rep.fit.value - 0.4) < 0.05
         env = rep.verdicts[0]
@@ -309,7 +308,7 @@ class TestWhiteNoiseRate:
         assert env.detail["sd_at_alpha_min"] > env.detail["sd_at_alpha_max"]
 
     def test_monte_carlo_cross_check(self):
-        rep = run_white_noise_rate(
+        rep = run_rate(
             self.white_config(
                 noise=WhiteNoiseSweep(
                     (1e-2, 1e-3, 1e-4, 1e-5), replicates=200, seed=5
@@ -323,7 +322,7 @@ class TestWhiteNoiseRate:
             assert row["within_3se"]
 
     def test_lepskii_rule_white(self):
-        rep = run_white_noise_rate(
+        rep = run_rate(
             self.white_config(
                 problem=circle(2000), rule={"kind": "lepskii"}
             )
@@ -336,7 +335,7 @@ class TestWhiteNoiseRate:
             noise=DeterministicSweep((1e-2, 1e-3, 1e-4, 1e-5))
         )
         with pytest.raises(DomainError, match="white noise sweep"):
-            run_white_noise_rate(cfg)
+            run_rate(cfg)
 
 
 class TestBiasDecay:
@@ -456,7 +455,7 @@ class TestVscCertificate:
 
 class TestReportOutputs:
     def test_csv_shape_and_header(self, tmp_path):
-        rep = run_deterministic_rate(det_config(problem=circle(500)))
+        rep = run_rate(det_config(problem=circle(500)))
         path = tmp_path / "out.rows.csv"
         rep.write_rows_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -465,7 +464,7 @@ class TestReportOutputs:
         assert all(len(line.split(",")) == 6 for line in lines[1:])
 
     def test_json_round_trips_and_matches_dict(self, tmp_path):
-        rep = run_deterministic_rate(det_config(problem=circle(500)))
+        rep = run_rate(det_config(problem=circle(500)))
         path = tmp_path / "out.report.json"
         rep.write_report_json(path)
         loaded = json.loads(path.read_text())

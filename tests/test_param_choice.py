@@ -33,6 +33,7 @@ from specreg.regularize import (
     bias,
     error_breakdown,
     propagation_norm,
+    variance_trace,
     worst_case_error,
 )
 from specreg.spectral import (
@@ -654,3 +655,18 @@ class TestQuasiOptimality:
             error_breakdown(tikhonov(), float(a), x, noise).total for a in grid
         ]
         assert val == pytest.approx(min(dense), rel=1e-12)
+
+    @pytest.mark.parametrize("method", catalogue(), ids=lambda m: m.name)
+    def test_grid_inf_white_from_passed_tables(self, method):
+        # the unit noise table of white noise is sqrt(trace); passing it
+        # and the bias table gives what the function builds itself
+        x = sobolev_like(n_levels=40)
+        grid = np.geomspace(1e-5, 0.5, 20)
+        grid = grid[grid <= method.alpha_max]
+        b = bias(method, grid, x)
+        sd = np.sqrt(variance_trace(method, grid, x.op))
+        for eps in (1e-1, 1e-3, 1e-6):
+            noise = WhiteNoise(epsilon=eps, seed=0)
+            own = grid_inf_error(method, x, noise, grid)
+            passed = grid_inf_error(method, x, noise, grid, bias_arr=b, prop_arr=sd)
+            assert passed == own

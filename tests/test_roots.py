@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specreg import regularize, roots
@@ -13,7 +13,7 @@ from specreg.experiments import (
     LogLaw,
     PowerLaw,
     default_alpha_grid,
-    run_deterministic_rate,
+    run_rate,
 )
 from specreg.filters import showalter
 from specreg.problems import ProblemDescriptor, backward_heat
@@ -119,6 +119,8 @@ def test_newton_point_outside_the_bracket_falls_back_to_the_midpoint():
     st.booleans(),
     st.booleans(),
 )
+# a bracket already closed before its first evaluation, beside an open one
+@example([(0.0, 1.0, 0.0), (0.0, -1.4373342578244546e-16, 0.0)], False, True)
 @settings(max_examples=200, deadline=None)
 def test_joint_brackets_solve_as_they_do_alone(brackets, increasing, newton):
     # a bracket's root and step count must not depend on its companions,
@@ -265,7 +267,7 @@ def _count_bracket_steps(monkeypatch):
 def test_circle_oracle_rows_solve_in_few_newton_steps(monkeypatch):
     steps = _count_bracket_steps(monkeypatch)
     for method in ("tikhonov", "landweber"):
-        run_deterministic_rate(
+        run_rate(
             ExperimentConfig(
                 name="newton-steps",
                 operation="deterministic_rate",
@@ -285,7 +287,7 @@ def test_heat_log_band_rows_solve_in_few_newton_steps(monkeypatch):
     # the sweep of the backward heat log-band acceptance run: 18 levels
     # whose propagation factors span hundreds of decades
     steps = _count_bracket_steps(monkeypatch)
-    run_deterministic_rate(
+    run_rate(
         ExperimentConfig(
             name="newton-steps-heat",
             operation="deterministic_rate",

@@ -184,6 +184,20 @@ class TestNoise:
         out = add_noise(g, DeterministicNoise(0.0), xi=np.zeros(5))
         np.testing.assert_allclose(out.coefficients, g.coefficients)
 
+    def test_deterministic_draw_without_xi(self):
+        # a seeded direction on the delta sphere, one per replicate
+        g = SpectralElement(small_op(), np.arange(5.0))
+        noise = DeterministicNoise(0.3)
+        a = add_noise(g, noise, replicate=3)
+        b = add_noise(g, noise, replicate=3)
+        c = add_noise(g, noise, replicate=4)
+        xi = a.coefficients - g.coefficients
+        assert np.linalg.norm(xi) == pytest.approx(0.3, rel=1e-14)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
+        assert not np.array_equal(a.coefficients, c.coefficients)
+        flat = add_noise(g, DeterministicNoise(0.0), replicate=3)
+        np.testing.assert_array_equal(flat.coefficients, g.coefficients)
+
     def test_white_noise_reproducible(self):
         op = small_op()
         g = SpectralElement(op, np.zeros(5))
