@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, number, section
 from .experiments import ExperimentConfig, run_experiment
 from .filters import check_assumption_sr, filter_from_dict
 from .problems import fixture_registry
@@ -30,7 +29,7 @@ from .problems import fixture_registry
 def _cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, json.JSONDecodeError, KeyError, DomainError) as exc:
+    except (OSError, json.JSONDecodeError, DomainError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -64,16 +63,10 @@ def _cmd_fixtures(args) -> int:
 def _cmd_check_filter(args) -> int:
     try:
         with open(args.method) as fh:
-            spec = json.load(fh)
-        if not isinstance(spec, dict):
-            raise ValueError("a method spec must be a JSON object")
-        op_norm_sq = float(spec.get("op_norm_sq", 1.0))
-        if not (math.isfinite(op_norm_sq) and op_norm_sq > 0):
-            raise ValueError(
-                f"op_norm_sq must be finite and positive, got {op_norm_sq!r}"
-            )
+            spec = section("method spec", json.load(fh))
+        op_norm_sq = number("op_norm_sq", spec.get("op_norm_sq", 1.0), above=0)
         method = filter_from_dict(spec)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, DomainError) as exc:
         print(f"bad method spec: {exc}", file=sys.stderr)
         return 2
     alpha_hi = min(method.alpha_max, op_norm_sq)

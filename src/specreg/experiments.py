@@ -44,12 +44,11 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import os
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import COUNT_CEILING, DomainError, field, number, section, whole
 from .filters import FilterMethod, filter_from_dict, qualification_constant
 from .index_functions import IndexFunction, index_function_from_dict
 from .param_choice import (
@@ -84,11 +83,9 @@ _MC_ROW_LIMIT = 3
 
 def _worker_count() -> int:
     raw = os.environ.get("SPECREG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"SPECREG_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    if not raw.isdecimal():
+        raise DomainError(f"SPECREG_THREADS must be a whole number, got {raw!r}")
+    return max(1, int(raw))
 
 
 def _map_rows(fn, items):
@@ -100,66 +97,22 @@ def _map_rows(fn, items):
         return list(pool.map(fn, items))
 
 
-def _field(path: str, convert, value):
-    """convert(value); a value it rejects is a DomainError naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{path}: {exc}") from None
-
-
-def _finite(path: str, value) -> float:
-    """float(value) for a finite number; bools are refused rather than
-    read as 0 or 1."""
-    if isinstance(value, bool):
-        raise DomainError(f"{path} must be a number, got {value!r}")
-    x = _field(path, float, value)
-    if not math.isfinite(x):
-        raise DomainError(f"{path} must be finite, got {x!r}")
-    return x
-
-
-def _positive(path: str, value) -> float:
-    """A finite number > 0."""
-    x = _finite(path, value)
-    if not x > 0:
-        raise DomainError(f"{path} must be positive, got {x!r}")
-    return x
-
-
-def _object(path: str, value) -> dict:
-    """A config section, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise DomainError(f"{path} must be a JSON object, got {type(value).__name__}")
-    return dict(value)
-
-
-def _whole(path: str, value, minimum: int = 0) -> int:
-    """A whole number >= minimum; bools, strings and fractions are
-    refused rather than rounded."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, float) and value.is_integer())
-    ):
-        raise DomainError(f"{path} must be a whole number, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{path} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # sweeps and rate models
 
 
-def _validated_levels(values, label: str) -> tuple[float, ...]:
-    arr = _field(label, lambda v: np.asarray(v, dtype=float), values)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{label} must be a nonempty list of levels")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError(f"{label} must be finite and positive")
-    if np.any(np.diff(arr) >= 0):
-        raise DomainError(f"{label} must be strictly decreasing")
-    return tuple(float(v) for v in arr)
+def _levels(path: str, values, step: int) -> tuple[float, ...]:
+    """A nonempty list of positive numbers, strictly increasing (step 1)
+    or strictly decreasing (step -1)."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise DomainError(f"{path} must be a nonempty list of numbers")
+    out = tuple(number(f"{path}[{i}]", v) for i, v in enumerate(values))
+    if min(out) <= 0:
+        raise DomainError(f"{path} must be positive")
+    if any(step * (b - a) <= 0 for a, b in zip(out, out[1:])):
+        order = "increasing" if step > 0 else "decreasing"
+        raise DomainError(f"{path} must be strictly {order}")
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,7 +123,7 @@ class DeterministicSweep:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "deltas", _validated_levels(self.deltas, "noise.deltas")
+            self, "deltas", _levels("noise.deltas", self.deltas, -1)
         )
 
     @property
@@ -191,14 +144,16 @@ class WhiteNoiseSweep:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "epsilons", _validated_levels(self.epsilons, "noise.epsilons")
+            self, "epsilons", _levels("noise.epsilons", self.epsilons, -1)
         )
-        replicates = _whole("noise.replicates", self.replicates)
+        replicates = whole(
+            "noise.replicates", self.replicates, maximum=COUNT_CEILING
+        )
         # a Monte Carlo standard error needs two replicates; 0 skips the check
         if replicates == 1:
             raise DomainError("noise.replicates must be 0 or >= 2, got 1")
         object.__setattr__(self, "replicates", replicates)
-        object.__setattr__(self, "seed", _whole("noise.seed", self.seed))
+        object.__setattr__(self, "seed", whole("noise.seed", self.seed))
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -214,12 +169,12 @@ class WhiteNoiseSweep:
 
 
 def sweep_from_dict(d: dict):
-    kind = _object("noise", d)["kind"]
+    kind = field(section("noise", d), "noise.kind")
     if kind == "deterministic":
-        return DeterministicSweep(d["deltas"])
+        return DeterministicSweep(field(d, "noise.deltas"))
     if kind == "white":
         return WhiteNoiseSweep(
-            d["epsilons"],
+            field(d, "noise.epsilons"),
             replicates=d.get("replicates", 0),
             seed=d.get("seed", 0),
         )
@@ -249,8 +204,13 @@ class LogLaw:
     band_limit: float = 2.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
+        if not self.beta > 0:
+            raise DomainError(f"rate_model.beta must be positive, got {self.beta!r}")
+        # the band is a max/min ratio, so a limit below 1 always fails
+        if not self.band_limit >= 1:
+            raise DomainError(
+                f"rate_model.band_limit must be >= 1, got {self.band_limit!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -261,18 +221,19 @@ class LogLaw:
 
 
 def rate_model_from_dict(d: dict):
-    kind = _object("rate_model", d)["kind"]
+    kind = field(section("rate_model", d), "rate_model.kind")
     if kind == "power":
         return PowerLaw(
-            _finite("rate_model.expected", d["expected"]),
-            tolerance=_positive("rate_model.tolerance", d.get("tolerance", 0.05)),
+            number("rate_model.expected", field(d, "rate_model.expected")),
+            tolerance=number(
+                "rate_model.tolerance", d.get("tolerance", 0.05), above=0
+            ),
         )
     if kind == "log":
-        # the band is a max/min ratio, so a limit below 1 always fails
-        band_limit = _finite("rate_model.band_limit", d.get("band_limit", 2.0))
-        if not band_limit >= 1:
-            raise DomainError(f"rate_model.band_limit must be >= 1, got {band_limit!r}")
-        return LogLaw(_positive("rate_model.beta", d["beta"]), band_limit=band_limit)
+        return LogLaw(
+            number("rate_model.beta", field(d, "rate_model.beta")),
+            band_limit=number("rate_model.band_limit", d.get("band_limit", 2.0)),
+        )
     raise DomainError(f"unknown rate model {kind!r}")
 
 
@@ -319,24 +280,15 @@ class ExperimentConfig:
             raise DomainError("config name must be a nonempty path-safe string")
         if self.operation not in self._OPERATIONS:
             raise DomainError(f"unknown operation {self.operation!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise DomainError(f"out_dir must be a string, got {self.out_dir!r}")
         # a falsification search without probes would pass unexamined
-        object.__setattr__(self, "n_probes", _whole("n_probes", self.n_probes, 1))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        n_probes = whole("n_probes", self.n_probes, 1, COUNT_CEILING)
+        object.__setattr__(self, "n_probes", n_probes)
+        object.__setattr__(self, "seed", whole("seed", self.seed))
         if self.alpha_grid is not None:
-            arr = _field(
-                "alpha_grid", lambda v: np.asarray(v, dtype=float), self.alpha_grid
-            )
-            if (
-                arr.ndim != 1
-                or arr.size == 0
-                or not np.all(np.isfinite(arr))
-                or np.any(arr <= 0)
-                or np.any(np.diff(arr) <= 0)
-            ):
-                raise DomainError(
-                    "alpha_grid must be positive, finite and strictly increasing"
-                )
-            object.__setattr__(self, "alpha_grid", tuple(float(a) for a in arr))
+            grid = _levels("alpha_grid", self.alpha_grid, 1)
+            object.__setattr__(self, "alpha_grid", grid)
         if isinstance(self.rate_model, PowerLaw) and self.noise is not None:
             levels = np.asarray(self.noise.levels)
             span = math.log10(levels[0] / levels[-1])
@@ -375,13 +327,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = _object("config", d)
+        d = section("config", d)
         return cls(
-            name=d["name"],
-            operation=d["operation"],
-            problem=_field("problem", ProblemDescriptor.from_dict, d["problem"]),
-            method=_object("method", d["method"]),
-            rule=_object("rule", d.get("rule", {"kind": "oracle"})),
+            name=field(d, "name"),
+            operation=field(d, "operation"),
+            problem=ProblemDescriptor.from_dict(section("problem", field(d, "problem"))),
+            method=section("method", field(d, "method")),
+            rule=section("rule", d.get("rule", {"kind": "oracle"})),
             noise=sweep_from_dict(d["noise"]) if "noise" in d else None,
             rate_model=(
                 rate_model_from_dict(d["rate_model"])
@@ -389,11 +341,11 @@ class ExperimentConfig:
                 else None
             ),
             alpha_grid=d.get("alpha_grid"),
-            element=_object("element", d["element"]) if "element" in d else None,
-            nu=_field("nu", float, d.get("nu", 1.5)),
-            growth_limit=_field("growth_limit", float, d.get("growth_limit", 10.0)),
-            mu=_field("mu", float, d["mu"]) if "mu" in d else None,
-            kappa=_object("kappa", d["kappa"]) if "kappa" in d else None,
+            element=section("element", d["element"]) if "element" in d else None,
+            nu=number("nu", d.get("nu", 1.5)),
+            growth_limit=number("growth_limit", d.get("growth_limit", 10.0)),
+            mu=number("mu", d["mu"]) if "mu" in d else None,
+            kappa=section("kappa", d["kappa"]) if "kappa" in d else None,
             n_probes=d.get("n_probes", 10_000),
             seed=d.get("seed", 0),
             out_dir=d.get("out_dir"),
@@ -410,10 +362,7 @@ def _resolve_method(spec: dict, op) -> FilterMethod:
     if d.get("method") == "landweber":
         d.setdefault("op_norm_sq", op.norm_tstar_t)
         d.setdefault("mu_step", 0.9 / op.norm_tstar_t)
-    try:
-        return filter_from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"method: {exc}") from None
+    return filter_from_dict(d)
 
 
 def _resolve_rule(spec: dict, kappa: IndexFunction):
@@ -424,12 +373,10 @@ def _resolve_rule(spec: dict, kappa: IndexFunction):
     if kind == "a_priori":
         return a_priori_rule(kappa), {"kind": "a_priori"}
     if kind == "discrepancy":
-        tau = _finite("rule.tau", spec.get("tau", 2.0))
-        if not tau > 1:
-            raise DomainError(f"rule.tau must exceed 1, got {tau!r}")
+        tau = number("rule.tau", spec.get("tau", 2.0), above=1)
         return discrepancy_rule(tau), {"kind": "discrepancy", "tau": tau}
     if kind == "lepskii":
-        c = _positive("rule.constant", spec.get("constant", 4.0))
+        c = number("rule.constant", spec.get("constant", 4.0), above=0)
         return lepskii_rule(c), {"kind": "lepskii", "constant": c}
     raise DomainError(f"unknown rule kind {kind!r}")
 
@@ -494,14 +441,12 @@ def resolve_element(cfg: ExperimentConfig, fixture: Fixture):
         return fixture.x, fixture.tail_norm()
     kind = spec.get("kind")
     if kind == "coefficient_power":
-        p = _field("element.p", float, spec.get("p"))
+        p = number("element.p", field(spec, "element.p"))
         return fixture.element(p), fixture.tail_norm(p)
     if kind == "range_power":
         # x = (T*T)^s applied to the fixture element; the dropped modes sit
         # below the smallest kept eigenvalue, so lam_min^s scales the tail
-        s = _field("element.s", float, spec.get("s"))
-        if s <= 0:
-            raise DomainError("range_power needs s > 0")
+        s = number("element.s", field(spec, "element.s"), above=0)
         op = fixture.op
         coeff = fixture.x.coefficients * op.slot_eigenvalues**s
         lam_min = float(op.eigenvalues[-1])
@@ -917,7 +862,11 @@ def _mc_agreement(method, x, rows, sweep: WhiteNoiseSweep) -> Verdict:
     for row, mc_ms, se in zip(
         picked, est.mean_squared.tolist(), est.se_mean_squared.tolist()
     ):
-        exact_ms = row.bias**2 + row.noise_term**2
+        # numpy powers round as float powers do but overflow to inf
+        with np.errstate(over="ignore"):
+            exact_ms = float(
+                np.float64(row.bias) ** 2 + np.float64(row.noise_term) ** 2
+            )
         gap = abs(mc_ms - exact_ms)
         ok = gap <= 3.0 * se
         mc_ok = mc_ok and ok
@@ -1046,7 +995,7 @@ def run_vsc_certificate(cfg: ExperimentConfig) -> RateReport:
     op, kappa, x, _tail = _resolve_problem(cfg)
     method = _resolve_method(cfg.method, op)
     if cfg.kappa is not None:
-        kappa = _field("kappa", index_function_from_dict, cfg.kappa)
+        kappa = index_function_from_dict(cfg.kappa)
     if cfg.mu is None:
         raise DomainError("vsc_certificate needs mu in (0, 1)")
     config = _resolved_config(cfg, op, method, {"kind": "none"})

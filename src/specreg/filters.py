@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, field, number, whole
 from .index_functions import IndexFunction
 
 __all__ = [
@@ -92,9 +92,9 @@ class FilterMethod:
 
     def __post_init__(self):
         if not 0 < self.c_low <= self.c_diag < 1:
-            raise ValueError("need 0 < c_low <= c_diag < 1")
+            raise DomainError("need 0 < c_low <= c_diag < 1")
         if self.c_q <= 0 or self.alpha_max <= 0:
-            raise ValueError("c_q and alpha_max must be positive")
+            raise DomainError("c_q and alpha_max must be positive")
 
     @property
     def snaps_to_iteration_grid(self) -> bool:
@@ -254,7 +254,7 @@ def showalter() -> FilterMethod:
 
 def iterated_tikhonov(k: int) -> FilterMethod:
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DomainError("k must be >= 1")
     return FilterMethod(
         name="iterated_tikhonov",
         c_q=float(k),
@@ -269,7 +269,7 @@ def iterated_tikhonov(k: int) -> FilterMethod:
 def landweber(
     mu_step: float,
     alpha_max: float | None = None,
-    op_norm_sq: float | None = None,
+    op_norm_sq: float = 1.0,
 ) -> FilterMethod:
     """Landweber with step length mu_step in (0, 1/||T*T||].
 
@@ -283,17 +283,17 @@ def landweber(
     finite alpha, hence the slab-exact constants below.
     """
     if not 0 < mu_step <= 1:
-        raise ValueError("mu_step must lie in (0, 1]")
-    if op_norm_sq is not None and mu_step > 1.0 / op_norm_sq * (1 + 1e-12):
-        raise ValueError("mu_step must be <= 1/||T*T||")
-    cap = min(1.0, op_norm_sq) if op_norm_sq is not None else 1.0
+        raise DomainError("mu_step must lie in (0, 1]")
+    if mu_step > 1.0 / op_norm_sq * (1 + 1e-12):
+        raise DomainError("mu_step must be <= 1/||T*T||")
+    cap = min(1.0, op_norm_sq)
     am = cap * (1 - 1e-9) if alpha_max is None else alpha_max
     if not 0 < am < cap:
-        raise ValueError("alpha_max must lie in (0, min(||T*T||, 1))")
+        raise DomainError("alpha_max must lie in (0, min(||T*T||, 1))")
     k_am = iteration_count(am)
     c_low = (1 - mu_step / k_am) ** k_am
     if c_low <= 0:
-        raise ValueError(
+        raise DomainError(
             "degenerate diagonal bound: decrease alpha_max or mu_step"
         )
     return FilterMethod(
@@ -314,11 +314,11 @@ def lardy(beta: float, alpha_max: float | None = None) -> FilterMethod:
     bound is the attained supremum at the smallest iteration count (see the
     module docstring for why the exp(-1/(2 beta)) form is not used).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not beta > 0:
+        raise DomainError("beta must be positive")
     am = min(1.0, beta) if alpha_max is None else alpha_max
-    if am > min(1.0, beta):
-        raise ValueError("alpha_max must be <= min(1, beta)")
+    if not 0 < am <= min(1.0, beta):
+        raise DomainError("alpha_max must lie in (0, min(1, beta)]")
     k_am = max(int(iteration_count(am)), 1)
     c_diag = (1 + 1.0 / ((k_am + 1) * beta)) ** (-k_am)
     return FilterMethod(
@@ -356,28 +356,29 @@ def catalogue(op_norm_sq: float = 1.0) -> list[FilterMethod]:
 
 
 def filter_from_dict(d: dict) -> FilterMethod:
-    name = d["method"]
+    """The method a spec names; its fields are read as ``method.<key>``."""
+    name = field(d, "method.method")
+    alpha_max = (
+        number("method.alpha_max", d["alpha_max"]) if "alpha_max" in d else None
+    )
     if name == "tikhonov":
         return tikhonov()
     if name == "showalter":
         return showalter()
     if name == "iterated_tikhonov":
-        k = d["k"]
-        whole = isinstance(k, int) or (isinstance(k, float) and k.is_integer())
-        if isinstance(k, bool) or not whole:
-            raise ValueError(f"k must be a whole number, got {k!r}")
-        return iterated_tikhonov(int(k))
+        return iterated_tikhonov(whole("method.k", field(d, "method.k")))
     if name == "landweber":
         return landweber(
-            mu_step=float(d["mu_step"]),
-            alpha_max=d.get("alpha_max"),
-            op_norm_sq=d.get("op_norm_sq"),
+            mu_step=number("method.mu_step", field(d, "method.mu_step")),
+            alpha_max=alpha_max,
+            op_norm_sq=number("method.op_norm_sq", d.get("op_norm_sq", 1.0), above=0),
         )
     if name == "lardy":
-        return lardy(beta=float(d["beta"]), alpha_max=d.get("alpha_max"))
+        beta = number("method.beta", field(d, "method.beta"))
+        return lardy(beta=beta, alpha_max=alpha_max)
     if name == "modified_spectral_cutoff":
         return modified_spectral_cutoff()
-    raise ValueError(f"unknown method {name!r}")
+    raise DomainError(f"unknown method {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -533,18 +534,21 @@ def qualification_constant(
     sampled grid; ``diverging`` flags growth of the per-alpha suprema toward
     small alpha (the signature of insufficient classical qualification).
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not nu > 0:
+        raise DomainError("nu must be positive")
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     lams = np.sort(np.asarray(lam_grid, dtype=float))
-    kap_l = np.asarray(kappa(lams)) ** nu
-    kap_a = np.asarray(kappa(alphas)) ** nu
-    per_alpha = (
-        alpha_table(
-            alphas, lams.size, lambda a: np.max(method.r(a, lams) * kap_l, axis=1)
+    # a large nu overflows or underflows kappa^nu: the supremum is then
+    # inf or nan, which the caller reads as no certified constant
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kap_l = np.asarray(kappa(lams)) ** nu
+        kap_a = np.asarray(kappa(alphas)) ** nu
+        per_alpha = (
+            alpha_table(
+                alphas, lams.size, lambda a: np.max(method.r(a, lams) * kap_l, axis=1)
+            )
+            / kap_a
         )
-        / kap_a
-    )
     value = float(per_alpha.max())
     mid = max(per_alpha[len(per_alpha) // 2], 1e-300)
     diverging = bool(np.argmax(per_alpha) == 0 and per_alpha[0] > 4 * mid)

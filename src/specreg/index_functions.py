@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, field, number, section
 from .roots import bracketed_roots
 
 __all__ = [
@@ -53,7 +54,6 @@ class IndexFunction:
 
     domain_max: float
     mu: float | None
-    growth_p: float | None
 
     @property
     def domain_min(self) -> float:
@@ -99,21 +99,15 @@ class IndexFunction:
         raise NotImplementedError
 
 
-def _validate_metadata(f: IndexFunction) -> None:
-    """Spot-check declared mu / growth_p tags on a coarse log grid."""
+def _validate_mu(f: IndexFunction) -> None:
+    """Spot-check a declared mu tag on a coarse log grid."""
+    if not 0 < f.mu < 1:
+        raise DomainError("mu must lie in (0, 1)")
     hi = min(f.domain_max, 1.0)
     grid = np.geomspace(hi * 1e-12, hi * (1 - 1e-9), 64)
-    vals = f(grid)
-    if f.mu is not None:
-        if not 0 < f.mu < 1:
-            raise ValueError("mu must lie in (0, 1)")
-        ratio = vals**2 / grid ** (1 - f.mu)
-        if np.any(np.diff(ratio) > 1e-9 * ratio[:-1]):
-            raise ValueError("declared mu fails the sampled decay check")
-    if f.growth_p is not None:
-        slopes = np.diff(np.log(vals)) / np.diff(np.log(grid))
-        if np.any(slopes > f.growth_p + 1e-9):
-            raise ValueError("declared growth_p fails the sampled check")
+    ratio = f(grid) ** 2 / grid ** (1 - f.mu)
+    if np.any(np.diff(ratio) > 1e-9 * ratio[:-1]):
+        raise DomainError("declared mu fails the sampled decay check")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,13 +117,12 @@ class PowerIndex(IndexFunction):
     nu: float
     domain_max: float = math.inf
     mu: float | None = None
-    growth_p: float | None = None
 
     def __post_init__(self):
         if not self.nu > 0:
-            raise ValueError("nu must be positive")
-        if self.mu is not None or self.growth_p is not None:
-            _validate_metadata(self)
+            raise DomainError("nu must be positive")
+        if self.mu is not None:
+            _validate_mu(self)
 
     def _eval_positive(self, t):
         return t**self.nu
@@ -146,20 +139,20 @@ class LogPowerIndex(IndexFunction):
     shift: float = 0.0
     domain_max: float = dataclasses.field(default=math.nan)
     mu: float | None = None
-    growth_p: float | None = None
 
     def __post_init__(self):
         if not self.p > 0:
-            raise ValueError("p must be positive")
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
+            raise DomainError("p must be positive")
+        # exp(shift) must be a finite double
+        if not 0 <= self.shift < math.log(sys.float_info.max):
+            raise DomainError(f"shift must lie in [0, 709.78), got {self.shift!r}")
         limit = math.exp(self.shift)
         if math.isnan(self.domain_max):
             object.__setattr__(self, "domain_max", limit * (1 - 1e-12))
         if self.domain_max >= limit:
-            raise ValueError("domain_max must be < exp(shift)")
-        if self.mu is not None or self.growth_p is not None:
-            _validate_metadata(self)
+            raise DomainError("domain_max must be < exp(shift)")
+        if self.mu is not None:
+            _validate_mu(self)
 
     def _check_domain(self, t):
         super()._check_domain(t)
@@ -182,24 +175,23 @@ class TabulatedIndex(IndexFunction):
 
     points: np.ndarray
     mu: float | None = None
-    growth_p: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("points must be an (n, 2) array with n >= 2")
+            raise DomainError("points must be an (n, 2) array with n >= 2")
         if np.any(pts <= 0):
-            raise ValueError("tabulated samples must be strictly positive")
+            raise DomainError("tabulated samples must be strictly positive")
         if np.any(np.diff(pts[:, 0]) <= 0):
-            raise ValueError("sample arguments must be strictly increasing")
+            raise DomainError("sample arguments must be strictly increasing")
         if np.any(np.diff(pts[:, 1]) < 0):
-            raise ValueError("sample values must be nondecreasing")
+            raise DomainError("sample values must be nondecreasing")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "domain_max", float(pts[-1, 0]))
-        if self.mu is not None or self.growth_p is not None:
-            _validate_metadata(self)
+        if self.mu is not None:
+            _validate_mu(self)
 
     @property
     def domain_min(self) -> float:
@@ -228,16 +220,15 @@ class ComposedIndex(IndexFunction):
     power: float = 1.0
     arg_scale: float = 1.0
     mu: float | None = None
-    growth_p: float | None = None
 
     def __post_init__(self):
-        if self.scale <= 0 or self.power <= 0 or self.arg_scale <= 0:
-            raise ValueError("scale, power and arg_scale must be positive")
+        if not (self.scale > 0 and self.power > 0 and self.arg_scale > 0):
+            raise DomainError("scale, power and arg_scale must be positive")
         object.__setattr__(
             self, "domain_max", self.base.domain_max / self.arg_scale
         )
-        if self.mu is not None or self.growth_p is not None:
-            _validate_metadata(self)
+        if self.mu is not None:
+            _validate_mu(self)
 
     @property
     def domain_min(self) -> float:
@@ -277,13 +268,12 @@ class CappedIndex(IndexFunction):
     cap_at: float
     domain_max: float = math.inf
     mu: float | None = None
-    growth_p: float | None = None
 
     def __post_init__(self):
         if not 0 < self.cap_at <= self.base.domain_max:
-            raise ValueError("cap_at must lie inside the base domain")
-        if self.mu is not None or self.growth_p is not None:
-            _validate_metadata(self)
+            raise DomainError("cap_at must lie inside the base domain")
+        if self.mu is not None:
+            _validate_mu(self)
 
     @property
     def domain_min(self) -> float:
@@ -308,27 +298,38 @@ class CappedIndex(IndexFunction):
         }
 
 
-def index_function_from_dict(d: dict) -> IndexFunction:
-    """Inverse of ``to_dict`` for every supported kind."""
-    kind = d.get("kind")
+def index_function_from_dict(d: dict, path: str = "kappa") -> IndexFunction:
+    """Inverse of ``to_dict`` for every supported kind; fields are read
+    as ``<path>.<key>``."""
+    kind = field(section(path, d), f"{path}.kind")
     if kind == "power":
-        return PowerIndex(nu=float(d["nu"]))
+        return PowerIndex(nu=number(f"{path}.nu", field(d, f"{path}.nu")))
     if kind == "logpower":
-        return LogPowerIndex(p=float(d["p"]), shift=float(d.get("shift", 0.0)))
+        return LogPowerIndex(
+            p=number(f"{path}.p", field(d, f"{path}.p")),
+            shift=number(f"{path}.shift", d.get("shift", 0.0)),
+        )
     if kind == "table":
-        return TabulatedIndex(points=np.asarray(d["points"], dtype=float))
+        rows = field(d, f"{path}.points")
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != 2 for row in rows
+        ):
+            raise DomainError(f"{path}.points must be a list of [t, value] pairs")
+        points = [[number(f"{path}.points", v) for v in row] for row in rows]
+        return TabulatedIndex(points=np.array(points, dtype=float))
     if kind == "composition":
         return ComposedIndex(
-            base=index_function_from_dict(d["base"]),
-            scale=float(d.get("scale", 1.0)),
-            power=float(d.get("power", 1.0)),
-            arg_scale=float(d.get("arg_scale", 1.0)),
+            base=index_function_from_dict(field(d, f"{path}.base"), f"{path}.base"),
+            scale=number(f"{path}.scale", d.get("scale", 1.0)),
+            power=number(f"{path}.power", d.get("power", 1.0)),
+            arg_scale=number(f"{path}.arg_scale", d.get("arg_scale", 1.0)),
         )
     if kind == "capped":
         return CappedIndex(
-            base=index_function_from_dict(d["base"]), cap_at=float(d["cap_at"])
+            base=index_function_from_dict(field(d, f"{path}.base"), f"{path}.base"),
+            cap_at=number(f"{path}.cap_at", field(d, f"{path}.cap_at")),
         )
-    raise ValueError(f"unknown index function kind: {kind!r}")
+    raise DomainError(f"{path}.kind: unknown index function kind {kind!r}")
 
 
 def theta(f: IndexFunction, lam):
@@ -559,7 +560,7 @@ def check_structure(f: IndexFunction, grid: Sequence[float]) -> StructureReport:
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.ndim != 1 or grid.size < 3:
-        raise ValueError("grid must contain at least three points")
+        raise DomainError("grid must contain at least three points")
     if grid[0] <= 0:
         raise DomainError("grid must be strictly positive")
     vals = np.asarray(f(grid))

@@ -125,8 +125,8 @@ def choose_discrepancy(
     not in rounded arithmetic: an ulp-level dip of the computed norms
     across the budget could give a different index than a top-down scan.
     """
-    if tau <= 1:
-        raise ValueError("tau must exceed 1")
+    if not tau > 1:
+        raise DomainError("tau must exceed 1")
     a = _ascending(alphas)
     threshold = tau * delta
     lam, y = data.op.slot_eigenvalues, data.coefficients
@@ -339,8 +339,10 @@ def grid_inf_error(
         i = int(np.argmin(vals))
         return AlphaChoice(float(alphas[i]), i), float(vals[i])
     delta = noise.delta
-    lb = np.maximum(bias_arr, prop_arr * delta)
-    ub = bias_arr + prop_arr * delta
+    # a bound past the double range is inf, which keeps its row
+    with np.errstate(over="ignore"):
+        lb = np.maximum(bias_arr, prop_arr * delta)
+        ub = bias_arr + prop_arr * delta
     cutoff = float(np.min(ub))
     candidates = np.flatnonzero(lb <= cutoff)
     values = _worst_case_rows(method, alphas[candidates], x, delta).value

@@ -21,11 +21,10 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
-import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import COUNT_CEILING, DomainError, field, number, section, whole
 from .index_functions import (
     CappedIndex,
     ComposedIndex,
@@ -330,8 +329,9 @@ def _tabulated_kappa(lambda_fn, t0: float, alpha_min: float, size: int = 600):
 class ProblemDescriptor:
     """Named recipe for a benchmark fixture.
 
-    ``kind`` selects the factory; ``params`` are its keyword arguments.
-    Descriptors describe CI-scale fixtures, hence the minimum size.
+    ``kind`` selects the factory; ``params`` are its keyword arguments,
+    finite numbers, and its size N or L a whole number.  Descriptors
+    describe CI-scale fixtures, hence the minimum size.
     """
 
     kind: str
@@ -344,25 +344,18 @@ class ProblemDescriptor:
         "sideways_heat": sideways_heat,
         "gradiometry": gradiometry,
     }
-    _SIZE_KEYS = ("N", "L")
-
     def __post_init__(self):
-        if self.kind not in self._FACTORIES:
+        if not isinstance(self.kind, str) or self.kind not in self._FACTORIES:
             raise DomainError(f"unknown problem kind: {self.kind!r}")
         names = inspect.signature(self._FACTORIES[self.kind]).parameters
         odd = sorted(set(self.params) ^ set(names))
         if odd:
             raise DomainError(f"params.{odd[0]}: {self.kind} takes {', '.join(names)}")
         for key, value in self.params.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"params.{key} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"params.{key} must be finite, got {value!r}")
-        size = next(
-            (self.params[k] for k in self._SIZE_KEYS if k in self.params), None
-        )
-        if size is None or size < 8:
-            raise DomainError("descriptor fixtures need a truncation size >= 8")
+            if key in ("N", "L"):
+                whole(f"params.{key}", value, 8, COUNT_CEILING)
+            else:
+                number(f"params.{key}", value)
 
     def build(self) -> Fixture:
         return self._FACTORIES[self.kind](**self.params)
@@ -372,7 +365,8 @@ class ProblemDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemDescriptor":
-        return cls(kind=d["kind"], params=dict(d["params"]))
+        params = section("problem.params", field(d, "problem.params"))
+        return cls(kind=field(d, "problem.kind"), params=params)
 
 
 def fixture_registry() -> dict[str, ProblemDescriptor]:

@@ -44,17 +44,17 @@ class SpectralOperator:
         eig = np.asarray(self.eigenvalues, dtype=float)
         mult = np.asarray(self.multiplicities, dtype=np.int64)
         if eig.ndim != 1 or eig.size == 0:
-            raise ValueError("eigenvalues must be a nonempty 1-d array")
+            raise DomainError("eigenvalues must be a nonempty 1-d array")
         if mult.shape != eig.shape:
-            raise ValueError("multiplicities must match eigenvalues in shape")
+            raise DomainError("multiplicities must match eigenvalues in shape")
         if not np.all(np.isfinite(eig)):
-            raise ValueError("eigenvalues must be finite")
+            raise DomainError("eigenvalues must be finite")
         if np.any(eig <= 0):
-            raise ValueError("eigenvalues must be strictly positive")
+            raise DomainError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) >= 0):
-            raise ValueError("eigenvalues must be strictly decreasing; merge ties")
+            raise DomainError("eigenvalues must be strictly decreasing; merge ties")
         if np.any(mult < 1):
-            raise ValueError("multiplicities must be >= 1")
+            raise DomainError("multiplicities must be >= 1")
         eig = eig.copy()
         mult = mult.copy()
         eig.setflags(write=False)
@@ -133,7 +133,7 @@ class SpectralElement:
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
         if coef.shape != (self.op.n_slots,):
-            raise ValueError(
+            raise DomainError(
                 f"expected {self.op.n_slots} coefficients, got {coef.shape}"
             )
         coef = coef.copy()
@@ -154,11 +154,11 @@ class SpectralElement:
         return SpectralElement(self.op, coef)
 
     def __add__(self, other: "SpectralElement") -> "SpectralElement":
-        _require_same_basis(self, other)
+        _require_same_operator(self.op, other.op)
         return SpectralElement(self.op, self.coefficients + other.coefficients)
 
     def __sub__(self, other: "SpectralElement") -> "SpectralElement":
-        _require_same_basis(self, other)
+        _require_same_operator(self.op, other.op)
         return SpectralElement(self.op, self.coefficients - other.coefficients)
 
     def __mul__(self, c: float) -> "SpectralElement":
@@ -170,11 +170,11 @@ class SpectralElement:
         return {"coefficients": self.coefficients.tolist()}
 
 
-def _require_same_basis(a: SpectralElement, b: SpectralElement) -> None:
-    if a.op is b.op:
+def _require_same_operator(a: SpectralOperator, b: SpectralOperator) -> None:
+    if a is b:
         return
-    same = np.array_equal(a.op.eigenvalues, b.op.eigenvalues) and np.array_equal(
-        a.op.multiplicities, b.op.multiplicities
+    same = np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(
+        a.multiplicities, b.multiplicities
     )
     if not same:
         raise BasisMismatchError("elements live over different operators")
@@ -236,7 +236,7 @@ class DeterministicNoise:
 
     def __post_init__(self):
         if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+            raise DomainError("delta must be >= 0")
 
     def to_dict(self):
         return {"kind": "deterministic", "delta": self.delta}
@@ -251,7 +251,7 @@ class WhiteNoise:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise DomainError("epsilon must be >= 0")
 
     def to_dict(self):
         return {"kind": "white", "epsilon": self.epsilon, "seed": self.seed}
@@ -288,7 +288,7 @@ def add_noise(
             xi *= noise.delta / float(np.linalg.norm(xi))
             return g.with_coefficients(g.coefficients + xi)
         if isinstance(xi, SpectralElement):
-            _require_same_basis(g, xi)
+            _require_same_operator(g.op, xi.op)
             xi = xi.coefficients
         xi = np.asarray(xi, dtype=float)
         if xi.shape != g.coefficients.shape:

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError
 from .index_functions import (
     ComposedIndex,
     IndexFunction,
@@ -48,7 +48,7 @@ from .index_functions import (
     mu_holds_on_grid,
     theta_inverse,
 )
-from .spectral import SpectralElement, SpectralOperator, xtk_norm
+from .spectral import SpectralElement, SpectralOperator, _require_same_operator, xtk_norm
 
 __all__ = [
     "VscProfile",
@@ -183,16 +183,6 @@ def general_strategy_psi(family: ProjectionFamily, t):
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
-def _check_same_layout(x: SpectralElement, op: SpectralOperator) -> None:
-    if x.op is op:
-        return
-    if x.op.eigenvalues.shape != op.eigenvalues.shape or not (
-        np.array_equal(x.op.eigenvalues, op.eigenvalues)
-        and np.array_equal(x.op.multiplicities, op.multiplicities)
-    ):
-        raise BasisMismatchError("element does not live on the given operator")
-
-
 def vsc_residual(
     x_true: SpectralElement,
     x: SpectralElement,
@@ -204,8 +194,8 @@ def vsc_residual(
     Returns ``2 <x_true, x_true - x> - 1/2 ||x - x_true||^2
     - psi(||T x - T x_true||^2)``; the VSC holds at x iff this is <= 0.
     """
-    _check_same_layout(x_true, op)
-    _check_same_layout(x, op)
+    _require_same_operator(x_true.op, op)
+    _require_same_operator(x.op, op)
     h = x_true.coefficients - x.coefficients
     inner = float(np.dot(x_true.coefficients, h))
     h_norm_sq = float(np.dot(h, h))
@@ -269,7 +259,7 @@ def decay_to_vsc(
     """
     if not 0.0 < mu < 1.0:
         raise DomainError("mu must lie in (0, 1)")
-    _check_same_layout(x_true, op)
+    _require_same_operator(x_true.op, op)
     norm_x = x_true.norm()
     if norm_x == 0.0:
         return VscProfile(
@@ -515,7 +505,7 @@ def vsc_falsify(
     and memory O(slots + probes): no probes x slots array is formed, and
     only the winning witness is built.
     """
-    _check_same_layout(x_true, op)
+    _require_same_operator(x_true.op, op)
     norm_x = x_true.norm()
     if scales is None:
         scales = np.geomspace(1e-3, 10.0, 8)

@@ -166,6 +166,59 @@ def _log(**fields):
         ({"method": {"method": "iterated_tikhonov", "k": True}}, "k must be a whole"),
         ({"element": {"kind": "coefficient_power"}}, "element.p"),
         ({"element": {"kind": "range_power"}}, "element.s"),
+        (
+            {"problem": {"kind": "single_layer_circle",
+                         "params": {"N": 2000, "u": 0}}},
+            "nu must be positive",
+        ),
+        (
+            {"problem": {"kind": "single_layer_circle",
+                         "params": {"N": 1e300, "u": 1.0}}},
+            "params.N",
+        ),
+        (
+            {"problem": {"kind": "backward_heat",
+                         "params": {"t_bar": 1e300, "N": 30, "beta": 1.0}}},
+            "cap_at",
+        ),
+        (
+            {"problem": {"kind": "sobolev_scale",
+                         "params": {"N": 1000, "a": 1e300, "u": 0.5}}},
+            "eigenvalues",
+        ),
+        (_white_noise(replicates=1e300), "noise.replicates"),
+        ({"operation": "vsc_certificate", "mu": 0.2, "n_probes": 1e300}, "n_probes"),
+        (
+            {"operation": "vsc_certificate", "mu": 0.2,
+             "kappa": {"kind": "logpower"}},
+            "kappa.p",
+        ),
+        (
+            {"operation": "vsc_certificate", "mu": 0.2,
+             "kappa": {"kind": "logpower", "p": 1.0, "shift": float("nan")}},
+            "kappa.shift",
+        ),
+        (
+            {"operation": "vsc_certificate", "mu": 0.2,
+             "kappa": {"kind": "logpower", "p": 1.0, "shift": 1e300}},
+            "shift",
+        ),
+        ({"element": {"kind": "range_power", "s": float("nan")}}, "element.s"),
+        (
+            {"problem": {"kind": ["single_layer_circle"],
+                         "params": {"N": 2000, "u": 1.0}}},
+            "unknown problem kind",
+        ),
+        (
+            {"operation": "vsc_certificate", "mu": 0.2,
+             "kappa": {"kind": "logpower", "p": True, "shift": 3.1}},
+            "kappa.p",
+        ),
+        (
+            {"element": {"kind": "coefficient_power", "p": float("inf")}},
+            "element.p",
+        ),
+        ({"out_dir": 5}, "out_dir"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
@@ -181,7 +234,10 @@ def _log(**fields):
         "tolerance_negative", "tolerance_zero", "tolerance_bool", "beta_nan",
         "beta_negative", "beta_bool", "band_limit_nan", "band_limit_below_one",
         "band_limit_negative", "band_limit_bool", "k_fraction", "k_bool",
-        "element_no_p", "element_no_s",
+        "element_no_p", "element_no_s", "u_zero", "N_huge", "t_bar_huge",
+        "a_huge", "replicates_huge", "n_probes_huge", "kappa_no_p",
+        "kappa_shift_nan", "kappa_shift_huge", "element_s_nan",
+        "problem_kind_list", "kappa_p_bool", "element_p_infinite", "out_dir_number",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from specreg import vsc
-from specreg.errors import DomainError
+from specreg.errors import BasisMismatchError, DomainError
 from specreg.index_functions import (
     LogPowerIndex,
     PowerIndex,
@@ -152,6 +152,25 @@ class TestResidual:
             expected = 1.5 * tail_sq - profile.psi(image_sq)
             got = vsc_residual(x, probe, op, profile)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_elements_over_another_operator_are_refused(self):
+        op, x = sobolev_fixture(50)
+        profile = decay_to_vsc(x, op, PowerIndex(0.25), 0.2)
+        # an equal operator held in another object is the same operator
+        twin = SpectralElement(SpectralOperator.from_levels(op.eigenvalues), x.coefficients)
+        assert vsc_residual(twin, twin, op, profile) == 0.0
+        shorter = sobolev_fixture(40)[1]
+        doubled = SpectralOperator(op.eigenvalues, np.full(op.eigenvalues.size, 2))
+        wider = SpectralElement(doubled, np.ones(doubled.n_slots))
+        for z in (shorter, wider):
+            with pytest.raises(BasisMismatchError):
+                vsc_residual(z, x, op, profile)
+            with pytest.raises(BasisMismatchError):
+                vsc_residual(x, z, op, profile)
+            with pytest.raises(BasisMismatchError):
+                decay_to_vsc(z, op, PowerIndex(0.25), 0.2)
+            with pytest.raises(BasisMismatchError):
+                vsc_falsify(z, op, profile, n_probes=10, seed=0)
 
 
 class TestDecayToVsc:
