@@ -29,7 +29,7 @@ from .problems import fixture_registry
 def _cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -62,11 +62,11 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_check_filter(args) -> int:
     try:
-        with open(args.method) as fh:
+        with open(args.method, encoding="utf-8") as fh:
             spec = section("method spec", json.load(fh))
         op_norm_sq = number("op_norm_sq", spec.get("op_norm_sq", 1.0), above=0)
         method = filter_from_dict(spec)
-    except (OSError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         print(f"bad method spec: {exc}", file=sys.stderr)
         return 2
     alpha_hi = min(method.alpha_max, op_norm_sq)

@@ -21,10 +21,6 @@ class BasisMismatchError(ValueError):
     """Two sequence-space objects refer to different operators."""
 
 
-class EnvelopeViolationError(ValueError):
-    """A proposed variance envelope is violated at a grid point."""
-
-
 def section(path: str, value) -> dict:
     """A copy of a config section, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -55,13 +51,15 @@ def number(path: str, value, above: float | None = None) -> float:
 
 
 def whole(path: str, value, minimum: int = 0, maximum: int | None = None) -> int:
-    """A whole number in [minimum, maximum]; bools, strings and fractions
-    are refused rather than rounded."""
+    """A whole number in [minimum, maximum]; bools, strings, fractions and
+    integers beyond the double range are refused rather than rounded."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, float) and value.is_integer())
     ):
         raise DomainError(f"{path} must be a whole number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise DomainError(f"{path} must lie within the double range")
     if value < minimum:
         raise DomainError(f"{path} must be >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:

@@ -353,7 +353,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
 

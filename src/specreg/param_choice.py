@@ -19,6 +19,7 @@ from .errors import DomainError, OutOfRangeError
 from .filters import FilterMethod
 from .index_functions import IndexFunction, theta_inverse
 from .regularize import (
+    _worst_case_brackets,
     _worst_case_rows,
     bias,
     error_breakdown,
@@ -46,7 +47,6 @@ __all__ = [
     "a_priori_rule",
     "discrepancy_rule",
     "lepskii_rule",
-    "oracle_rule",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -299,6 +299,33 @@ def delta_set(method: FilterMethod, x: SpectralElement, alphas) -> DeltaSetRepor
     return DeltaSetReport(alphas=alphas, deltas=deltas, gamma_hat=gamma_hat)
 
 
+def _may_win(lower, upper, n_levels: int, delta: float) -> np.ndarray:
+    """Mask of the rows whose bracket lower <= worst case <= upper leaves
+    them a chance to be the first row of least solved value.  A row is
+    dropped when lower (1 - m) > best (1 + m), best the least finite upper
+    bound, with
+
+        m = 4 (L + 8) eps + (L + 2) s / delta^2,  L levels, s = 2^-1074.
+
+    Count an error of eps per rounded operation.  U and L sum L + 1
+    nonnegative terms of at most four operations each, then scale and
+    take a root: (L + 8) eps each.  Rounding g = d_max^2 - d^2 by 2 eps
+    d_max^2 moves the worst case by 2 eps.  As |d ln v / d ln sigma| <= 1
+    for the solved value v = theta ||b / (sigma + g)||, a root within
+    4 eps (the bracket width or Newton's stop; 8 eps lets the slope vary
+    over that last step) adds 8 eps, and v's own rounding (L + 6) eps:
+    3L + 32 in all.  A product of U^2 / theta >= delta^2 that underflows
+    loses at most s: the second term.  So a dropped row solves strictly
+    above the row of least upper bound and is never a least row.  A NaN
+    or infinite bound keeps its row.
+    """
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    best = np.min(upper, where=finite, initial=np.inf)
+    m = 4.0 * (n_levels + 8) * _EPS + (n_levels + 2) * _TINY / float(delta) / float(delta)
+    with np.errstate(invalid="ignore"):
+        return ~(finite & (lower * (1.0 - m) > best * (1.0 + m)))
+
+
 def grid_inf_error(
     method: FilterMethod,
     x: SpectralElement,
@@ -315,14 +342,16 @@ def grid_inf_error(
     noise, so the noise term is the level times the unit table.  White
     noise takes the least root mean squared error directly.
     Deterministic grids are pruned with the sandwich
-    max(bias, ||R|| delta) <= worst case <= bias + ||R|| delta
-    before the exact problem is solved on the survivors, all of them in
-    one call of the row kernel of ``regularize``: their secular
-    equations are solved together in blocks of rows, so the per-solve
-    bookkeeping is paid once per block.  The first survivor of least
-    value wins, and its value is reported through ``worst_case_error``,
-    which gives that row the same value bit for bit.  Returns
-    (AlphaChoice, value).
+    max(bias, ||R|| delta) <= worst case <= bias + ||R|| delta,
+    then with the primal-dual bracket of two secular evaluations per
+    survivor (``_worst_case_brackets``, dropped by ``_may_win``), before
+    the exact problem is solved on the rows left, all of them in one
+    call of the row kernel of ``regularize``: their secular equations
+    are solved together in blocks of rows, so the per-solve bookkeeping
+    is paid once per block.  The first row of least value wins, as it
+    would among all survivors, and its value is reported through
+    ``worst_case_error``, which gives that row the same value bit for
+    bit.  Returns (AlphaChoice, value).
     """
     alphas = _ascending(alphas)
     white = isinstance(noise, WhiteNoise)
@@ -345,6 +374,10 @@ def grid_inf_error(
         ub = bias_arr + prop_arr * delta
     cutoff = float(np.min(ub))
     candidates = np.flatnonzero(lb <= cutoff)
+    if delta > 0:
+        lower, upper = _worst_case_brackets(method, alphas[candidates], x, delta)
+        keep = _may_win(np.fmax(*lower), np.fmin(*upper), x.op.eigenvalues.size, delta)
+        candidates = candidates[keep]
     values = _worst_case_rows(method, alphas[candidates], x, delta).value
     best = int(candidates[np.argmin(values)])
     alpha = float(alphas[best])
@@ -428,17 +461,5 @@ def discrepancy_rule(tau: float = 2.0):
 def lepskii_rule(constant: float = 4.0):
     def rule(method, data, noise, alphas, x_true=None):
         return choose_lepskii(method, data, noise, alphas, constant=constant)
-
-    return rule
-
-
-def oracle_rule():
-    """Baseline that minimizes the exact criterion using the truth."""
-
-    def rule(method, data, noise, alphas, x_true=None):
-        if x_true is None:
-            raise ValueError("oracle rule needs x_true")
-        choice, _ = grid_inf_error(method, x_true, noise, alphas)
-        return choice
 
     return rule

@@ -31,7 +31,9 @@ so the numpy bookkeeping of a Newton step is paid once per block, not
 once per alpha: the 18-level rows of a backward heat sweep take one
 block each, while rows of thousands of levels keep one alpha per block.
 ``worst_case_error`` is the one-alpha case, and a row of a block gets
-the results it gets alone, bit for bit.
+the results it gets alone, bit for bit.  ``_worst_case_brackets``
+bounds the same rows from two secular evaluations each, so the grid
+oracle solves to the end only the rows that can still win.
 
 ``bias``, ``propagation_norm`` and ``variance_trace`` take a scalar alpha
 or a 1-d alpha grid; a grid is evaluated as (alpha x level) filter
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeViolationError
+from .errors import DomainError
 from .filters import _TABLE_BYTES, FilterMethod, _q_dispatch, alpha_table
 from .spectral import (
     DeterministicNoise,
@@ -62,29 +64,16 @@ from .roots import bracketed_roots
 _TINY = float(np.finfo(float).tiny)
 
 __all__ = [
-    "apply_regularizer",
     "bias",
     "propagation_norm",
     "variance_trace",
     "worst_case_error",
-    "worst_case_bounds",
     "WorstCaseResult",
     "error_breakdown",
     "ErrorBreakdown",
     "mse_monte_carlo",
     "MonteCarloEstimate",
-    "certify_variance_envelope",
-    "EnvelopeCertificate",
 ]
-
-
-def apply_regularizer(
-    method: FilterMethod, alpha: float, data: SpectralElement
-) -> SpectralElement:
-    """Reconstruct from image-side data coefficients."""
-    lam = data.op.slot_eigenvalues
-    coeff = method.q(alpha, lam) * np.sqrt(lam) * data.coefficients
-    return data.with_coefficients(coeff)
 
 
 def bias(method: FilterMethod, alpha, x: SpectralElement):
@@ -151,15 +140,6 @@ class WorstCaseResult:
             "theta": self.theta,
             "hard_case": self.hard_case,
         }
-
-
-def worst_case_bounds(
-    method: FilterMethod, alpha: float, x: SpectralElement, delta: float
-) -> tuple[float, float]:
-    """Cheap sandwich max(bias, ||R|| delta) <= worst case <= sum."""
-    b = bias(method, alpha, x)
-    p = propagation_norm(method, alpha, x.op) * delta
-    return max(b, p), b + p
 
 
 def _row_norms(v) -> np.ndarray:
@@ -337,6 +317,75 @@ def _worst_case_rows(method: FilterMethod, alphas, x: SpectralElement, delta):
     return out
 
 
+def _worst_case_brackets(method: FilterMethod, alphas, x: SpectralElement, delta):
+    """Bounds lower <= worst case <= upper at each alpha of the 1-d array
+    ``alphas`` and one delta > 0, from two secular evaluations.
+
+    With the level arrays b, d, g = d_max^2 - d^2 and c = d b built as in
+    ``_worst_case_rows``, in the same blocks, any sigma > 0 gives theta =
+    sigma + d_max^2 > d^2 and two bounds (More & Sorensen 1983; Polik &
+    Terlaky 2007): the Lagrangian dual value U = sqrt(theta (delta^2 +
+    sum b^2 / (sigma + g))), and the value L = ||b (1 + s d^2 / (sigma +
+    g))|| of the feasible noise s d b / (sigma + g), s = min(1, delta /
+    sqrt(f(sigma))).  Both meet the worst case at the secular root.  The
+    trial points are the first two of ``_solve_secular``: its lower
+    bracket end sigma0, then the Newton point of sigma0, or the geometric
+    midpoint when that point leaves the bracket.  Each takes one pass of
+    1/(sigma + g), shared by f, its slope, L and U.
+
+    Returns (lower, upper), each (2, alphas.size) with row k at trial
+    point k.  Rows with d_max = 0 or f(sigma0) <= delta^2, the hard case
+    among them, are NaN: the kernel solves them in closed form.
+    """
+    lam, mass = x.op.eigenvalues, x.level_mass
+    root_lam = np.sqrt(lam)
+    delta_sq = delta * delta
+    n = alphas.size
+    lower, upper = np.full((2, n), np.nan), np.full((2, n), np.nan)
+    rows = max(1, _TABLE_BYTES // (8 * lam.size))
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        col = alphas[blk, None]
+        d = method.q(col, lam)
+        np.abs(d, out=d)
+        d *= root_lam
+        b = method.r(col, lam)
+        np.square(b, out=b)
+        b *= mass
+        np.sqrt(b, out=b)
+        d_max = np.max(d, axis=1)
+        c = d * b
+        g, top = _gaps(d, d_max[:, None])
+        c_top = _row_norms(np.where(top, c, 0.0))
+        sigma = np.where(c_top > 0.0, c_top / delta, _TINY)
+        hi = _row_norms(c) / delta
+        inv, u, w = (np.empty_like(c) for _ in range(3))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(2):
+                np.add(sigma[:, None], g, out=inv)
+                np.divide(1.0, inv, out=inv)
+                np.multiply(c, inv, out=u)
+                f = np.sum(np.square(u, out=w), axis=1)
+                if k == 0:
+                    bracketed = (d_max > 0.0) & (f > delta_sq)
+                    slope = np.sum(np.multiply(w, inv, out=w), axis=1) / (f * np.sqrt(f))
+                    newton = sigma - (1.0 / np.sqrt(f) - 1.0 / delta) / slope
+                    inside = (sigma < newton) & (newton < hi)
+                    following = np.where(inside, newton, np.sqrt(sigma) * np.sqrt(hi))
+                # L: the value at the scaled noise s d b / (sigma + g)
+                np.multiply(d, u, out=w)
+                w *= np.minimum(1.0, delta / np.sqrt(f))[:, None]
+                w += b
+                low = np.sqrt(np.sum(np.square(w, out=w), axis=1))
+                np.multiply(b, inv, out=w)
+                w *= b
+                up = np.sqrt((sigma + np.square(d_max)) * (delta_sq + np.sum(w, axis=1)))
+                lower[k, blk] = np.where(bracketed, low, np.nan)
+                upper[k, blk] = np.where(bracketed, up, np.nan)
+                sigma = following
+    return lower, upper
+
+
 def worst_case_error(
     method: FilterMethod,
     alpha: float,
@@ -504,56 +553,4 @@ def mse_monte_carlo(
         se_mean_squared=se,
         rmse=rmse,
         n_replicates=n_replicates,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class EnvelopeCertificate:
-    c_lower: float
-    c_upper: float
-    two_sided_factor: float
-    alphas: np.ndarray
-    ratios: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "two_sided_factor": self.two_sided_factor,
-        }
-
-
-def certify_variance_envelope(
-    method: FilterMethod,
-    op: SpectralOperator,
-    envelope,
-    alpha_grid,
-    max_factor: float | None = None,
-) -> EnvelopeCertificate:
-    """Bound sqrt(trace) between c_lower * v(alpha) and c_upper * v(alpha).
-
-    envelope is a positive callable of alpha.  The two sided factor is the
-    smallest D with v/D <= sqrt(trace) <= D v on the grid.  When
-    max_factor is given, exceeding it raises EnvelopeViolationError.
-    """
-    alphas = np.asarray(alpha_grid, dtype=float)
-    env = np.array([float(envelope(a)) for a in alphas])
-    if not np.all(env > 0):
-        raise DomainError("envelope must be positive on the grid")
-    ratios = np.sqrt(variance_trace(method, alphas, op)) / env
-    c_lower = float(np.min(ratios))
-    c_upper = float(np.max(ratios))
-    if c_lower <= 0:
-        raise DomainError("variance trace vanished on the grid")
-    factor = max(c_upper, 1.0 / c_lower)
-    if max_factor is not None and factor > max_factor:
-        raise EnvelopeViolationError(
-            f"envelope factor {factor:.4g} exceeds allowed {max_factor:.4g}"
-        )
-    return EnvelopeCertificate(
-        c_lower=c_lower,
-        c_upper=c_upper,
-        two_sided_factor=factor,
-        alphas=alphas,
-        ratios=ratios,
     )

@@ -44,7 +44,6 @@ from .index_functions import (
     IndexFunction,
     PsiProfile,
     check_structure,
-    index_function_from_dict,
     mu_holds_on_grid,
     theta_inverse,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "vsc_to_decay_bound",
     "spectral_sc_to_vsc",
     "vsc_falsify",
-    "vsc_profile_from_dict",
 ]
 
 # Resolution of the log grid used for the sup term in the decay-to-VSC
@@ -117,18 +115,6 @@ class VscProfile:
             "scale": self.scale,
             "arg_scale": self.arg_scale,
         }
-
-
-def vsc_profile_from_dict(d: dict) -> VscProfile:
-    """Rebuild a profile from its JSON form (the psi table is recomputed)."""
-    kappa = index_function_from_dict(d["kappa"])
-    return VscProfile(
-        A=float(d["A"]),
-        kappa=kappa,
-        psi_profile=PsiProfile.build(kappa),
-        scale=float(d.get("scale", 1.0)),
-        arg_scale=float(d.get("arg_scale", 1.0)),
-    )
 
 
 @dataclasses.dataclass(frozen=True)

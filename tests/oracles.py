@@ -22,6 +22,20 @@ from specreg.regularize import (
 from specreg.spectral import DeterministicNoise, noise_generator
 
 
+def reconstruction(method, alpha, data):
+    """The regularized reconstruction q_alpha(lam) sqrt(lam) y of
+    image-side data y, slot by slot."""
+    lam = data.op.slot_eigenvalues
+    return data.with_coefficients(method.q(alpha, lam) * np.sqrt(lam) * data.coefficients)
+
+
+def worst_case_bounds(method, alpha, x, delta):
+    """Cheap sandwich max(bias, ||R|| delta) <= worst case <= sum."""
+    b = bias(method, alpha, x)
+    p = propagation_norm(method, alpha, x.op) * delta
+    return max(b, p), b + p
+
+
 def brute_force_worst_case(
     b,
     d,

@@ -219,6 +219,8 @@ def _log(**fields):
             "element.p",
         ),
         ({"out_dir": 5}, "out_dir"),
+        (b'{"name": "run-\xff"}', "utf-8"),
+        ({"method": {"method": "iterated_tikhonov", "k": 10**400}}, "method.k"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
@@ -238,6 +240,7 @@ def _log(**fields):
         "a_huge", "replicates_huge", "n_probes_huge", "kappa_no_p",
         "kappa_shift_nan", "kappa_shift_huge", "element_s_nan",
         "problem_kind_list", "kappa_p_bool", "element_p_infinite", "out_dir_number",
+        "not_utf8", "k_beyond_double",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
@@ -245,6 +248,9 @@ def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
     if over is None:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+    elif isinstance(over, bytes):
+        path = tmp_path / "binary.json"
+        path.write_bytes(over)
     else:
         path = write_config(tmp_path, **{"name": "run-d", **over})
     assert main(["run", str(path)]) == 2

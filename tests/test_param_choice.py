@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import discrepancy_scan, grid_inf_error_loop, lepskii_pairwise
 
 from specreg import param_choice
 from specreg.errors import DomainError
+from specreg.experiments import default_alpha_grid
 from specreg.filters import (
     _TABLE_BYTES,
     catalogue,
+    iteration_count,
     iterated_tikhonov,
     landweber,
     showalter,
@@ -24,11 +28,11 @@ from specreg.param_choice import (
     discrepancy_rule,
     grid_inf_error,
     lepskii_rule,
-    oracle_rule,
     quasioptimality_ratio,
 )
-from specreg.problems import sideways_heat
+from specreg.problems import backward_heat, sideways_heat
 from specreg.regularize import (
+    _worst_case_brackets,
     _worst_case_rows,
     bias,
     error_breakdown,
@@ -568,6 +572,16 @@ class TestDeltaSet:
             delta_set(tikhonov(), x, np.geomspace(1e-3, 0.1, 5))
 
 
+def oracle_rule():
+    """Baseline rule that minimizes the exact criterion using the truth."""
+
+    def rule(method, data, noise, alphas, x_true=None):
+        choice, _ = grid_inf_error(method, x_true, noise, alphas)
+        return choice
+
+    return rule
+
+
 class TestQuasiOptimality:
     def test_oracle_rule_scores_one(self):
         x = sobolev_like(n_levels=50)
@@ -670,3 +684,108 @@ class TestQuasiOptimality:
             own = grid_inf_error(method, x, noise, grid)
             passed = grid_inf_error(method, x, noise, grid, bias_arr=b, prop_arr=sd)
             assert passed == own
+
+
+def _survivor_mask(method, grid, x, delta):
+    """Which grid points the bracket keeps among the sandwich survivors."""
+    b = bias(method, grid, x)
+    p = propagation_norm(method, grid, x.op) * delta
+    survivors = np.flatnonzero(np.maximum(b, p) <= np.min(b + p))
+    lower, upper = _worst_case_brackets(method, grid[survivors], x, delta)
+    keep = param_choice._may_win(
+        np.fmax(*lower), np.fmin(*upper), x.op.eigenvalues.size, delta
+    )
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[survivors[keep]] = True
+    return mask
+
+
+class TestPrimalDualBracket:
+    """Bounds of ``_worst_case_brackets`` and the drop rule ``_may_win``."""
+
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 10**6),
+        st.floats(-12.0, math.log10(30.0)),
+        st.sampled_from(["any", "near_hard", "hard"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_holds_at_both_trial_points(self, mi, seed, log_delta, kind):
+        rng = np.random.default_rng(seed)
+        method = catalogue()[mi]
+        lam = np.unique(10.0 ** rng.uniform(-8.0, 0.0, int(rng.integers(1, 40))))[::-1]
+        mult = rng.integers(1, 3, lam.size)
+        level = np.repeat(np.arange(lam.size), mult)
+        coef = rng.standard_normal(level.size) * lam[level] ** rng.uniform(0.0, 1.0)
+        hi = min(0.99 * method.alpha_max, 10.0)
+        alphas = np.geomspace(10.0 ** rng.uniform(-9.0, -3.0), hi, 8)
+        delta = 10.0**log_delta
+        if kind != "any":
+            # no mass on the top group of one alpha; its hard case starts
+            # at the budget the other levels absorb
+            a = alphas[rng.integers(alphas.size)]
+            d = np.abs(method.q(a, lam)) * np.sqrt(lam)
+            coef[level == np.argmax(d)] = 0.0
+            b = np.abs(method.r(a, lam)) * np.sqrt(np.bincount(level, coef**2))
+            g = d.max() ** 2 - d**2
+            inner = math.sqrt(np.sum((d * b)[g > 0] ** 2 / g[g > 0] ** 2))
+            if inner > 0:
+                shift = 10.0 ** -rng.uniform(1.0, 12.0)
+                delta = inner * (1.0 - shift if kind == "near_hard" else 1.0 + shift)
+        x = SpectralElement(SpectralOperator(lam, mult), coef)
+        lower, upper = _worst_case_brackets(method, alphas, x, delta)
+        m = 4.0 * (lam.size + 8) * np.finfo(float).eps
+        for i, a in enumerate(alphas):
+            value = worst_case_error(method, float(a), x, delta).value
+            for k in range(2):
+                if np.isfinite(lower[k, i]) and np.isfinite(upper[k, i]):
+                    assert lower[k, i] * (1 - m) <= value <= upper[k, i] * (1 + m)
+
+    def test_tied_rows_are_all_kept(self):
+        # every alpha of one Landweber step count has the same r and q, so
+        # its worst case ties with the others' bit for bit
+        x = sobolev_like(n_levels=200)
+        method = landweber(mu_step=0.9)
+        grid = np.geomspace(1e-3, 0.5, 400)
+        noise = DeterministicNoise(0.1)
+        choice, value = grid_inf_error(method, x, noise, grid)
+        assert (choice, value) == grid_inf_error_loop(method, x, noise, grid)
+        tied = np.flatnonzero(iteration_count(grid) == iteration_count(choice.alpha))
+        assert tied.size >= 2 and choice.index == tied[0]
+        values = {worst_case_error(method, float(a), x, noise.delta).value for a in grid[tied]}
+        assert values == {value}
+        assert _survivor_mask(method, grid, x, noise.delta)[tied].all()
+
+    def test_rows_one_ulp_apart_are_both_kept(self):
+        v = 0.1234567890123
+        bounds = np.array([v, np.nextafter(v, 1.0), v * (1 + 1e-9)])
+        keep = param_choice._may_win(bounds, bounds, 30, 1e-3)
+        assert keep.tolist() == [True, True, False]
+
+    def test_nan_or_infinite_bound_keeps_its_row(self):
+        lower = np.array([1.0, np.nan, np.inf, 5.0, 6.0, 0.0])
+        upper = np.array([1.0, 0.5, np.inf, np.nan, 7.0, np.inf])
+        keep = param_choice._may_win(lower, upper, 10, 1e-3)
+        assert keep.tolist() == [True, True, True, True, False, True]
+        # without a finite pair there is no best to compare with
+        none = param_choice._may_win(np.array([np.nan, 3.0]), np.array([1.0, np.inf]), 10, 1e-3)
+        assert none.all()
+        # a budget whose square underflows to zero drops nothing
+        assert param_choice._may_win(lower, upper, 10, 1e-170).all()
+
+    def test_heat_grid_keeps_rows_with_nan_bounds(self):
+        # the default grid reaches alpha ~ 1e-252, where the bounds of
+        # most rows are NaN
+        heat = backward_heat(1.0, 30, 1.0)
+        method = showalter()
+        grid = default_alpha_grid(heat.op, method)
+        for delta in (1e-3, 1e-12):
+            lower, upper = _worst_case_brackets(method, grid, heat.x, delta)
+            lower, upper = np.fmax(*lower), np.fmin(*upper)
+            bad = ~(np.isfinite(lower) & np.isfinite(upper))
+            assert bad.sum() > grid.size // 2
+            keep = param_choice._may_win(lower, upper, heat.op.eigenvalues.size, delta)
+            assert keep[bad].all() and not keep.all()
+            noise = DeterministicNoise(delta)
+            want = grid_inf_error_loop(method, heat.x, noise, grid)
+            assert grid_inf_error(method, heat.x, noise, grid) == want

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specreg.errors import DomainError, EnvelopeViolationError
+from specreg.errors import DomainError
 from specreg.experiments import default_alpha_grid
 from specreg import filters
 from specreg.filters import catalogue, landweber, showalter, tikhonov
 from specreg.problems import backward_heat, single_layer_circle
 from specreg.regularize import (
     ErrorBreakdown,
-    apply_regularizer,
     bias,
-    certify_variance_envelope,
     error_breakdown,
     mse_monte_carlo,
     propagation_norm,
     variance_trace,
-    worst_case_bounds,
     worst_case_error,
 )
 from specreg.spectral import (
@@ -31,7 +28,12 @@ from specreg.spectral import (
     add_noise,
 )
 
-from oracles import brute_force_worst_case, monte_carlo_one_row
+from oracles import (
+    brute_force_worst_case,
+    monte_carlo_one_row,
+    reconstruction,
+    worst_case_bounds,
+)
 
 
 def make_element(eigenvalues, multiplicities, coefficients):
@@ -59,27 +61,6 @@ class TestBasics:
         op = SpectralOperator(np.array([1.0, 0.25]), np.array([2, 1]))
         got = variance_trace(tikhonov(), 1.0, op)
         assert got == pytest.approx(2 * 0.25 + 0.8**2 * 0.25, rel=1e-14)
-
-    def test_apply_reproduces_noise_free_limit(self):
-        x = make_element([1.0, 0.5, 0.1], [1, 2, 1], [1.0, -2.0, 0.5, 3.0])
-        lam = x.op.slot_eigenvalues
-        data = x.with_coefficients(np.sqrt(lam) * x.coefficients)
-        m = tikhonov()
-        rec = apply_regularizer(m, 1e-8, data)
-        assert np.allclose(rec.coefficients, x.coefficients, rtol=1e-6)
-
-    def test_error_identity(self):
-        # reconstruction error from noisy data equals -r x + q sqrt(lam) eta
-        x = make_element([0.9, 0.3], [1, 2], [1.0, 2.0, -1.0])
-        eta = x.with_coefficients([0.1, -0.2, 0.05])
-        m = tikhonov()
-        lam = x.op.slot_eigenvalues
-        data = x.with_coefficients(np.sqrt(lam) * x.coefficients) + eta
-        err = apply_regularizer(m, 0.3, data) - x
-        expected = -m.r(0.3, lam) * x.coefficients + m.q(0.3, lam) * np.sqrt(
-            lam
-        ) * eta.coefficients
-        assert np.allclose(err.coefficients, expected, rtol=1e-13)
 
 
 class TestWorstCase:
@@ -112,7 +93,7 @@ class TestWorstCase:
         noisy = x.with_coefficients(
             np.sqrt(x.op.slot_eigenvalues) * x.coefficients
         ) + w
-        err = (apply_regularizer(m, 0.25, noisy) - x).norm()
+        err = (reconstruction(m, 0.25, noisy) - x).norm()
         assert err == pytest.approx(res.value, rel=1e-10)
 
     def test_hard_case_witness(self):
@@ -337,40 +318,8 @@ class TestBreakdowns:
             u = rng.standard_normal(2)
             xi = x.with_coefficients(delta * u / np.linalg.norm(u))
             noisy = add_noise(clean, DeterministicNoise(delta), xi=xi)
-            err = (apply_regularizer(m, 0.15, noisy) - x).norm()
+            err = (reconstruction(m, 0.15, noisy) - x).norm()
             assert err <= worst * (1 + 1e-10)
-
-
-class TestEnvelope:
-    def _circle_like(self, m_max=2000):
-        lams = 1.0 / np.arange(1, m_max + 1, dtype=float) ** 2
-        mult = np.full(m_max, 2, dtype=np.int64)
-        return SpectralOperator(lams, mult)
-
-    def test_tikhonov_power_envelope(self):
-        # trace(alpha) = 2 sum m^2/(1 + alpha m^2)^2 -> (pi/2) alpha^(-3/2)
-        op = self._circle_like()
-        cert = certify_variance_envelope(
-            tikhonov(),
-            op,
-            lambda a: a**-0.75,
-            np.geomspace(1e-4, 1e-2, 25),
-        )
-        target = math.sqrt(math.pi / 2.0)
-        assert cert.c_lower == pytest.approx(target, rel=0.05)
-        assert cert.c_upper == pytest.approx(target, rel=0.05)
-        assert cert.two_sided_factor < 1.5
-
-    def test_violation_raises(self):
-        op = self._circle_like(200)
-        with pytest.raises(EnvelopeViolationError):
-            certify_variance_envelope(
-                tikhonov(),
-                op,
-                lambda a: a**-0.75,
-                np.geomspace(1e-3, 1e-2, 10),
-                max_factor=1.01,
-            )
 
 
 EPS = np.finfo(float).eps

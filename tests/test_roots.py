@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import grid_inf_error_loop
 
-from specreg import regularize, roots
+from specreg import experiments, regularize, roots
 from specreg.errors import DomainError
 from specreg.experiments import (
     DeterministicSweep,
@@ -252,8 +253,18 @@ def test_secular_newton_matches_bisection_on_heat_spectra():
 
 
 def _count_bracket_steps(monkeypatch):
-    """Record the steps of every bracket the worst case solves."""
+    """Record the steps of every bracket the worst case solves.
+
+    Oracle rows run the plain loop, which solves every sandwich survivor
+    to the end; the primal-dual prune of ``grid_inf_error`` would leave
+    only the few rows that can still win.
+    """
     steps = []
+    monkeypatch.setattr(
+        experiments,
+        "grid_inf_error",
+        lambda method, x, noise, alphas, **_: grid_inf_error_loop(method, x, noise, alphas),
+    )
 
     def counting(*args, **kwargs):
         root, n = bracketed_roots(*args, **kwargs)

@@ -37,7 +37,6 @@ from specreg.vsc import (
     general_strategy_psi,
     spectral_sc_to_vsc,
     vsc_falsify,
-    vsc_profile_from_dict,
     vsc_residual,
     vsc_to_decay_bound,
 )
@@ -490,14 +489,3 @@ class TestLinearMemory:
         assert report.n_probes == 22_000
         assert report.passed, (report.worst_residual, report.worst_family)
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-class TestProfileSerialization:
-    def test_json_round_trip(self):
-        op, x = sobolev_fixture(100)
-        profile = decay_to_vsc(x, op, PowerIndex(0.25), 0.2)
-        d = profile.to_dict()
-        assert set(d) == {"A", "kappa", "scale", "arg_scale"}
-        rebuilt = vsc_profile_from_dict(d)
-        t = np.geomspace(1e-8, 1.0, 30)
-        assert np.allclose(rebuilt.psi(t), profile.psi(t), rtol=1e-9)
