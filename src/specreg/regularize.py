@@ -150,21 +150,36 @@ def _row_norms(v) -> np.ndarray:
     return top * np.sqrt(np.sum(np.square(scaled, out=scaled), axis=-1))
 
 
-def _gaps(d, d_max):
-    """g = d_max^2 - d^2 per level and the top-group mask where g vanishes
-    to 1e-30 relative; g is set to exactly 0 on the top group."""
-    top_sq = np.square(d_max)
-    g = np.square(d)
-    np.subtract(top_sq, g, out=g)
-    top = g <= 1e-30 * top_sq
-    np.copyto(g, 0.0, where=top)
-    return g, top
-
-
 def _masked_rows(a, rows):
     """The rows of ``a`` selected by the mask ``rows``; ``a`` itself when
     every row is."""
     return a if rows.all() else a[rows]
+
+
+def _secular_ends(c, g, delta):
+    """Bracket ends of the secular root per row of c and g: f <= ||c||^2 /
+    sigma^2 bounds it above by ||c|| / delta; a top group (g == 0) with
+    mass c_top bounds it below by c_top / delta, otherwise the smallest
+    normal double does."""
+    c_top = _row_norms(np.where(g == 0.0, c, 0.0))
+    return np.where(c_top > 0.0, c_top / delta, _TINY), _row_norms(c) / delta
+
+
+def _secular_f(s, c, g, inv, u_sq):
+    """f(s) = sum (c/(s+g))^2 along the last axis, leaving 1/(s+g) in
+    ``inv`` and the terms in ``u_sq``."""
+    np.add(s[..., None], g, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(c, inv, out=u_sq)
+    np.square(u_sq, out=u_sq)
+    return u_sq.sum(axis=-1)
+
+
+def _secular_slope(f, inv, u_sq, w):
+    """phi' = f^{-3/2} sum c^2/(s+g)^3 of phi = 1/sqrt(f), from the
+    buffers ``_secular_f`` left at s."""
+    np.multiply(u_sq, inv, out=w)
+    return w.sum(axis=-1) / (f * np.sqrt(f))
 
 
 def _solve_secular(c, g, delta):
@@ -173,44 +188,34 @@ def _solve_secular(c, g, delta):
 
     Requires f(0+) > delta^2 on every row, i.e. either some c with g == 0
     or enough mass near the top.  Returns (sigma, steps): sigma > 0 and
-    the Newton steps of each row.  f <= ||c||^2 / sigma^2 bounds the root
-    above by ||c|| / delta; a top group with mass c_top bounds it below
-    by c_top / delta, otherwise the smallest normal double does.  The
+    the Newton steps of each row.  The bracket is ``_secular_ends``.  The
     equation is solved as phi(sigma) = 1/sqrt(f(sigma)) = 1/delta: phi is
     increasing and concave (Hebden 1973; More & Sorensen 1983), so Newton
-    steps from the lower bracket end rise monotonically to the root, with
-    phi' = f^{-3/2} sum c^2/(sigma+g)^3.  Every row is one bracket of a
-    single ``bracketed_roots`` call, and phi and phi' are taken on the
-    whole block in three level buffers that every trial point reuses.
+    steps from the lower bracket end rise monotonically to the root.
+    Every row is one bracket of a single ``bracketed_roots`` call, and phi
+    and phi' are taken on the whole block in three level buffers that
+    every trial point reuses.
     """
-    c_top = _row_norms(np.where(g == 0.0, c, 0.0))
-    lo = np.where(c_top > 0.0, c_top / delta, _TINY)
-    hi = _row_norms(c) / delta
+    lo, hi = _secular_ends(c, g, delta)
     if c.shape[0] == 1:
         # one row is solved on 1-d levels with a 0-d bracket, whose
         # arithmetic runs on numpy scalars, cheaper than 1-element arrays
         c, g, lo, hi = c[0], g[0], lo[0], hi[0]
     inv, u_sq, w = (np.empty_like(c) for _ in range(3))
     # phi and its slope are taken at each trial point in turn; both read
-    # 1/(s+g), (c/(s+g))^2 and f of the last point
+    # the buffers and f of the last point
     last = [None, None]
 
     def f_at(s):
         if last[0] is not s:
-            np.add(s[..., None], g, out=inv)
-            np.divide(1.0, inv, out=inv)
-            np.multiply(c, inv, out=u_sq)
-            np.square(u_sq, out=u_sq)
-            last[:] = s, u_sq.sum(axis=-1)
+            last[:] = s, _secular_f(s, c, g, inv, u_sq)
         return last[1]
 
     def phi(s):
         return 1.0 / np.sqrt(f_at(s))
 
     def phi_slope(s):
-        f = f_at(s)
-        np.multiply(u_sq, inv, out=w)
-        return w.sum(axis=-1) / (f * np.sqrt(f))
+        return _secular_slope(f_at(s), inv, u_sq, w)
 
     # an overflowing f reads as phi = 0, far below the root; its slope (0
     # or nan) gives no Newton point inside the bracket, so the midpoint
@@ -235,19 +240,56 @@ class _Rows(NamedTuple):
     pad_sq: np.ndarray
 
 
+def _blocks(method: FilterMethod, alphas, x: SpectralElement, delta):
+    """Level tables of the 1-d array ``alphas`` in blocks of rows whose
+    (rows x levels) tables hold about ``_TABLE_BYTES`` each, as in
+    ``alpha_table``.  Yields per block its slice of rows, d = |q|
+    sqrt(lambda), the level norms b of r x, the bias ||b||, d_max = max d,
+    and for the secular equation c = d b and the gaps g with their
+    top-group mask, or three None when no row of the block has noise."""
+    lam, mass = x.op.eigenvalues, x.level_mass
+    root_lam = np.sqrt(lam)
+    rows = max(1, _TABLE_BYTES // (8 * lam.size))
+    for start in range(0, alphas.size, rows):
+        blk = slice(start, start + rows)
+        col = alphas[blk, None]
+        d = method.q(col, lam)
+        np.abs(d, out=d)
+        d *= root_lam
+        # squared level norms of b = r x; as in a sum of squared slot
+        # values, a b whose square underflows reads zero, so such a top
+        # group takes the hard-case branch of the kernel
+        b = method.r(col, lam)
+        np.square(b, out=b)
+        b *= mass
+        bias_val = np.sqrt(np.sum(b, axis=1))
+        np.sqrt(b, out=b)
+        d_max = np.max(d, axis=1)
+        c = g = top = None
+        if delta > 0.0 and np.any(d_max > 0.0):
+            # level norms of c = d b; sums over them are of squared ratios,
+            # so no square of theta, sigma or g overflows at tiny alpha
+            c = d * b
+            # g = d_max^2 - d^2, set to exactly 0 on the top group, where
+            # it vanishes to 1e-30 relative
+            top_sq = np.square(d_max)[:, None]
+            g = np.square(d)
+            np.subtract(top_sq, g, out=g)
+            top = g <= 1e-30 * top_sq
+            np.copyto(g, 0.0, where=top)
+        yield blk, d, b, bias_val, d_max, c, g, top
+
+
 def _worst_case_rows(method: FilterMethod, alphas, x: SpectralElement, delta):
     """Worst case at every alpha of the 1-d array ``alphas``, one delta.
 
-    Rows go in blocks whose (rows x levels) tables hold about
-    ``_TABLE_BYTES`` each, as in ``alpha_table``: r, q, c and g are built
-    once per block, the hard case is a row mask, and the other rows of
-    the block are solved together by ``_solve_secular``.  A row's results
-    do not depend on which rows share its block.
+    Rows go in ``_blocks``: r, q, c and g are built once per block, the
+    hard case is a row mask, and the other rows of the block are solved
+    together by ``_solve_secular``.  A row's results do not depend on
+    which rows share its block.
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    lam, mass = x.op.eigenvalues, x.level_mass
-    root_lam = np.sqrt(lam)
     delta_sq = delta * delta
     n = alphas.size
     out = _Rows(
@@ -258,32 +300,12 @@ def _worst_case_rows(method: FilterMethod, alphas, x: SpectralElement, delta):
         hard=np.zeros(n, dtype=bool),
         pad_sq=np.zeros(n),
     )
-    rows = max(1, _TABLE_BYTES // (8 * lam.size))
-    for start in range(0, n, rows):
-        blk = slice(start, start + rows)
-        col = alphas[blk, None]
-        d = method.q(col, lam)
-        np.abs(d, out=d)
-        d *= root_lam
-        # squared level norms of b = r x; as in a sum of squared slot
-        # values, a b whose square underflows reads zero, so such a top
-        # group takes the hard-case branch below
-        b = method.r(col, lam)
-        np.square(b, out=b)
-        b *= mass
-        bias_val = np.sqrt(np.sum(b, axis=1))
-        np.sqrt(b, out=b)
-        d_max = np.max(d, axis=1)
+    for blk, d, b, bias_val, d_max, c, g, top in _blocks(method, alphas, x, delta):
         out.bias[blk], out.d_max[blk] = bias_val, d_max
-        noisy = (d_max > 0.0) & (delta > 0.0)
         out.value[blk] = bias_val
-        if not noisy.any():
+        if c is None:
             continue
-
-        # level norms of c = d b; sums below are of squared ratios, so no
-        # square of theta, sigma or g overflows at tiny alpha
-        c = d * b
-        g, top = _gaps(d, d_max[:, None])
+        noisy = d_max > 0.0
         # without mass on the top group the multiplier may stick at
         # theta = d_max^2: the hard case, when the rest of the mass cannot
         # absorb the whole budget
@@ -321,65 +343,48 @@ def _worst_case_brackets(method: FilterMethod, alphas, x: SpectralElement, delta
     """Bounds lower <= worst case <= upper at each alpha of the 1-d array
     ``alphas`` and one delta > 0, from two secular evaluations.
 
-    With the level arrays b, d, g = d_max^2 - d^2 and c = d b built as in
-    ``_worst_case_rows``, in the same blocks, any sigma > 0 gives theta =
-    sigma + d_max^2 > d^2 and two bounds (More & Sorensen 1983; Polik &
-    Terlaky 2007): the Lagrangian dual value U = sqrt(theta (delta^2 +
-    sum b^2 / (sigma + g))), and the value L = ||b (1 + s d^2 / (sigma +
-    g))|| of the feasible noise s d b / (sigma + g), s = min(1, delta /
-    sqrt(f(sigma))).  Both meet the worst case at the secular root.  The
-    trial points are the first two of ``_solve_secular``: its lower
-    bracket end sigma0, then the Newton point of sigma0, or the geometric
-    midpoint when that point leaves the bracket.  Each takes one pass of
-    1/(sigma + g), shared by f, its slope, L and U.
+    With the level arrays b, d, g = d_max^2 - d^2 and c = d b of
+    ``_blocks``, any sigma > 0 gives theta = sigma + d_max^2 > d^2 and two
+    bounds (More & Sorensen 1983; Polik & Terlaky 2007): the Lagrangian
+    dual value U = sqrt(theta (delta^2 + sum b^2 / (sigma + g))), and the
+    value L = ||b (1 + s d^2 / (sigma + g))|| of the feasible noise
+    s d b / (sigma + g), s = min(1, delta / sqrt(f(sigma))).  Both meet
+    the worst case at the secular root.  The trial points are the first
+    two of ``_solve_secular``: its lower bracket end sigma0, then the
+    Newton point of sigma0, or the geometric midpoint when that point
+    leaves the bracket.  Each takes one pass of 1/(sigma + g), shared by
+    f, its slope, L and U.
 
     Returns (lower, upper), each (2, alphas.size) with row k at trial
     point k.  Rows with d_max = 0 or f(sigma0) <= delta^2, the hard case
     among them, are NaN: the kernel solves them in closed form.
     """
-    lam, mass = x.op.eigenvalues, x.level_mass
-    root_lam = np.sqrt(lam)
     delta_sq = delta * delta
-    n = alphas.size
-    lower, upper = np.full((2, n), np.nan), np.full((2, n), np.nan)
-    rows = max(1, _TABLE_BYTES // (8 * lam.size))
-    for start in range(0, n, rows):
-        blk = slice(start, start + rows)
-        col = alphas[blk, None]
-        d = method.q(col, lam)
-        np.abs(d, out=d)
-        d *= root_lam
-        b = method.r(col, lam)
-        np.square(b, out=b)
-        b *= mass
-        np.sqrt(b, out=b)
-        d_max = np.max(d, axis=1)
-        c = d * b
-        g, top = _gaps(d, d_max[:, None])
-        c_top = _row_norms(np.where(top, c, 0.0))
-        sigma = np.where(c_top > 0.0, c_top / delta, _TINY)
-        hi = _row_norms(c) / delta
-        inv, u, w = (np.empty_like(c) for _ in range(3))
+    lower, upper = np.full((2, alphas.size), np.nan), np.full((2, alphas.size), np.nan)
+    for blk, d, b, _, d_max, c, g, _ in _blocks(method, alphas, x, delta):
+        if c is None:
+            continue
+        sigma, hi = _secular_ends(c, g, delta)
+        inv, u_sq, w = (np.empty_like(c) for _ in range(3))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for k in range(2):
-                np.add(sigma[:, None], g, out=inv)
-                np.divide(1.0, inv, out=inv)
-                np.multiply(c, inv, out=u)
-                f = np.sum(np.square(u, out=w), axis=1)
+                f = _secular_f(sigma, c, g, inv, u_sq)
                 if k == 0:
                     bracketed = (d_max > 0.0) & (f > delta_sq)
-                    slope = np.sum(np.multiply(w, inv, out=w), axis=1) / (f * np.sqrt(f))
+                    slope = _secular_slope(f, inv, u_sq, w)
                     newton = sigma - (1.0 / np.sqrt(f) - 1.0 / delta) / slope
                     inside = (sigma < newton) & (newton < hi)
                     following = np.where(inside, newton, np.sqrt(sigma) * np.sqrt(hi))
-                # L: the value at the scaled noise s d b / (sigma + g)
-                np.multiply(d, u, out=w)
-                w *= np.minimum(1.0, delta / np.sqrt(f))[:, None]
-                w += b
-                low = np.sqrt(np.sum(np.square(w, out=w), axis=1))
+                # U: theta (delta^2 + sum b^2 / (sigma + g)); L: the value
+                # at the scaled noise s d b / (sigma + g)
                 np.multiply(b, inv, out=w)
                 w *= b
                 up = np.sqrt((sigma + np.square(d_max)) * (delta_sq + np.sum(w, axis=1)))
+                np.multiply(c, inv, out=w)
+                w *= d
+                w *= np.minimum(1.0, delta / np.sqrt(f))[:, None]
+                w += b
+                low = np.sqrt(np.sum(np.square(w, out=w), axis=1))
                 lower[k, blk] = np.where(bracketed, low, np.nan)
                 upper[k, blk] = np.where(bracketed, up, np.nan)
                 sigma = following
@@ -402,13 +407,13 @@ def worst_case_error(
     witness = None
     if want_witness:
         op = x.op
-        lam = op.eigenvalues
         eta = np.zeros(op.n_slots)
         if delta > 0.0 and d_max > 0.0:
             mult = op.multiplicities
-            d_level = np.abs(method.q(alpha, lam)) * np.sqrt(lam)
-            g_level, top = _gaps(d_level, d_max)
-            b_slot = np.repeat(method.r(alpha, lam), mult) * x.coefficients
+            # the kernel's level tables of this one row
+            blk = next(_blocks(method, np.array([alpha], dtype=float), x, delta))
+            (d_level,), (g_level,), (top,) = blk[1], blk[6], blk[7]
+            b_slot = np.repeat(method.r(alpha, op.eigenvalues), mult) * x.coefficients
             d_slot = np.repeat(d_level, mult)
             denom_slot = sigma + np.repeat(g_level, mult)
             nz = denom_slot > 0

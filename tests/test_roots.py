@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_inf_error_loop
 
-from specreg import experiments, regularize, roots
+from specreg import param_choice, regularize, roots
 from specreg.errors import DomainError
 from specreg.experiments import (
     DeterministicSweep,
@@ -255,16 +254,11 @@ def test_secular_newton_matches_bisection_on_heat_spectra():
 def _count_bracket_steps(monkeypatch):
     """Record the steps of every bracket the worst case solves.
 
-    Oracle rows run the plain loop, which solves every sandwich survivor
-    to the end; the primal-dual prune of ``grid_inf_error`` would leave
-    only the few rows that can still win.
+    The primal-dual prune of ``grid_inf_error`` keeps every row, so the
+    blocked row kernel solves each sandwich survivor to the end.
     """
     steps = []
-    monkeypatch.setattr(
-        experiments,
-        "grid_inf_error",
-        lambda method, x, noise, alphas, **_: grid_inf_error_loop(method, x, noise, alphas),
-    )
+    monkeypatch.setattr(param_choice, "_may_win", lambda lower, *_: np.ones(lower.shape, bool))
 
     def counting(*args, **kwargs):
         root, n = bracketed_roots(*args, **kwargs)

@@ -8,15 +8,16 @@ The parent's committed files are extracted with ``git archive`` into
 ``.perfbench_work/ab-<sha>/`` (gitignored; no worktree is registered,
 so nothing is left to prune).  Each pair runs ``perfbench/run.py
 --trace 0`` once on the parent and once on the working tree, each in a
-fresh process, and alternates which side goes first.  A run that is
-not correct stops the command.
+fresh process at the benchmark's own run length, and alternates which
+side goes first.  A run that is not correct stops the command.
 
-``BENCH_<workload>.json`` (at the repository root unless ``--out`` says
-otherwise) records, per pair and side, the end-to-end metrics
-``cycle_s``, ``peak_rss_mb`` and ``setup_s`` with the raw
-``cycle_wall_median_s`` and ``speed_factor_median`` of the detail line;
-per metric and side, the median and quartiles over the pairs; and the
-number of pairs in which the working tree read lower than the parent.
+``BENCH_<workload>.json`` at the repository root (``BENCH_<workload>
+.seed<N>.json`` for an input seed N other than 0) records, per pair and
+side, the end-to-end metrics ``cycle_s``, ``peak_rss_mb`` and
+``setup_s`` with the raw ``cycle_wall_median_s`` and
+``speed_factor_median`` of the detail line; per metric and side, the
+median and quartiles over the pairs; and the number of pairs in which
+the working tree read lower than the parent.
 
 This lives outside ``perfbench/`` only until a change to the benchmark
 itself moves it there.
@@ -45,8 +46,6 @@ def parse_args(argv):
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for quartiles")
@@ -78,7 +77,7 @@ def run_once(tree: Path, args) -> dict:
     """One fresh benchmark process in ``tree``; its metrics and details."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        "--seed", str(args.seed), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -131,7 +130,6 @@ def main(argv=None) -> int:
     out = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
         "pairs_run": args.pairs,
         "parent": sha,
         "parent_src_tree": _git("rev-parse", f"{sha}:src"),
@@ -141,7 +139,8 @@ def main(argv=None) -> int:
         "summary": summary,
         "pairs": pairs,
     }
-    path = args.out or ROOT / f"BENCH_{args.workload}.json"
+    suffix = f".seed{args.seed}" if args.seed else ""
+    path = ROOT / f"BENCH_{args.workload}{suffix}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
