@@ -22,14 +22,14 @@ import numpy as np
 
 from .errors import DomainError, number, section
 from .experiments import ExperimentConfig, run_experiment
-from .filters import check_assumption_sr, filter_from_dict
+from .filters import _iteration_grid, check_assumption_sr, filter_from_dict
 from .problems import fixture_registry
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -66,13 +66,13 @@ def _cmd_check_filter(args) -> int:
             spec = section("method spec", json.load(fh))
         op_norm_sq = number("op_norm_sq", spec.get("op_norm_sq", 1.0), above=0)
         method = filter_from_dict(spec)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad method spec: {exc}", file=sys.stderr)
         return 2
     alpha_hi = min(method.alpha_max, op_norm_sq)
     alphas = np.geomspace(1e-8, alpha_hi, 100)
     if method.snaps_to_iteration_grid:
-        alphas = np.sort(1.0 / np.unique(np.maximum(np.round(1.0 / alphas), 1.0)))
+        alphas = _iteration_grid(alphas)
         alphas = alphas[alphas <= method.alpha_max]
     lams = np.concatenate([[0.0], np.geomspace(1e-10, op_norm_sq, 100)])
     report = check_assumption_sr(method, alphas, lams)

@@ -49,7 +49,12 @@ import os
 import numpy as np
 
 from .errors import COUNT_CEILING, DomainError, field, number, section, whole
-from .filters import FilterMethod, filter_from_dict, qualification_constant
+from .filters import (
+    FilterMethod,
+    _iteration_grid,
+    filter_from_dict,
+    qualification_constant,
+)
 from .index_functions import IndexFunction, index_function_from_dict
 from .param_choice import (
     a_priori_rule,
@@ -404,8 +409,7 @@ def default_alpha_grid(op, method: FilterMethod) -> np.ndarray:
     n = int(math.ceil(math.log10(hi / lo) * _POINTS_PER_DECADE)) + 1
     grid = np.geomspace(lo, hi, n)
     if method.snaps_to_iteration_grid:
-        ks = np.unique(np.maximum(np.round(1.0 / grid), 1.0))
-        grid = np.sort(1.0 / ks)
+        grid = _iteration_grid(grid)
         grid = grid[(grid >= lo * (1 - 1e-12)) & (grid <= method.alpha_max)]
         if grid.size == 0:
             raise DomainError("no admissible iteration counts in the span")

@@ -9,6 +9,12 @@ certified on grids are
   (iii) alpha -> r_alpha(lam) is nondecreasing,
   (iv)  c_low <= r_alpha(alpha) <= c_diag < 1 for alpha in (0, alpha_max].
 
+Showalter, iterated Tikhonov, Landweber and Lardy share one form: each has
+an exponent e = log r_alpha(lam), and r = exp(e), q = -expm1(e)/lam with
+the lam -> 0 limit of q at lam = 0.  Tikhonov and modified spectral cutoff
+keep their closed forms, since alpha/(alpha + lam) is not bit-equal to
+exp(-log1p(lam/alpha)).
+
 Catalogue constants:
 
   method                     C_q         c_low                  c_diag
@@ -76,6 +82,11 @@ def iteration_count(alpha) -> np.ndarray | float:
     return float(k[0]) if scalar else k
 
 
+def _iteration_grid(alpha) -> np.ndarray:
+    """The sorted distinct 1/k, k >= 1, nearest to the given alphas."""
+    return np.sort(1.0 / np.unique(np.maximum(np.round(1.0 / alpha), 1.0)))
+
+
 @dataclasses.dataclass(frozen=True)
 class FilterMethod:
     """A regularization method with its certified filter constants."""
@@ -85,7 +96,6 @@ class FilterMethod:
     c_low: float
     c_diag: float
     alpha_max: float
-    classical_qualification: float
     k: int = 0
     mu_step: float = 0.0
     beta: float = 0.0
@@ -119,7 +129,13 @@ class FilterMethod:
         alpha and lam broadcast: a column alpha[:, None] against a row of
         lam gives the (alpha x lam) table.  Scalars give a float.
         """
-        out = _r_dispatch(self, *self._arguments(alpha, lam))
+        a, lam = self._arguments(alpha, lam)
+        if self.name == "tikhonov":
+            out = a / (a + lam)
+        elif self.name == "modified_spectral_cutoff":
+            out = np.maximum(1.0 - lam / (2 * a), 0.0)
+        else:
+            out = np.exp(_log_residual(self, a, lam)[0])
         return float(out) if np.ndim(out) == 0 else out
 
     def q(self, alpha, lam) -> np.ndarray | float:
@@ -127,8 +143,19 @@ class FilterMethod:
 
         Broadcasts like ``r``.
         """
-        out = _q_dispatch(self, *self._arguments(alpha, lam))
+        out = self._q(*self._arguments(alpha, lam))
         return float(out) if np.ndim(out) == 0 else out
+
+    def _q(self, a, lam: np.ndarray) -> np.ndarray:
+        """``q`` on arguments ``_arguments`` has already checked."""
+        if self.name == "tikhonov":
+            return 1.0 / (a + lam)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self.name == "modified_spectral_cutoff":
+                # 1/lam is inf at lam = 0, where the minimum is 1/(2 alpha)
+                return np.minimum(1.0 / lam, 1.0 / (2 * a))
+            e, limit_at_zero = _log_residual(self, a, lam)
+            return np.where(lam > 0, -np.expm1(e) / lam, limit_at_zero)
 
     def to_dict(self) -> dict:
         d = {"method": self.name}
@@ -143,65 +170,26 @@ class FilterMethod:
         return d
 
 
-def _landweber_bases(method: FilterMethod, alpha, lam: np.ndarray):
-    mu = method.mu_step
+def _log_residual(m: FilterMethod, alpha, lam: np.ndarray):
+    """e = log r_alpha(lam) of an exponential method, and lim q at lam -> 0."""
+    if m.name == "showalter":
+        return -lam / alpha, 1.0 / alpha
+    if m.name == "iterated_tikhonov":
+        return -m.k * np.log1p(lam / alpha), m.k / alpha
+    k = iteration_count(alpha)
+    if m.name == "lardy":
+        # k = 0 gives e = -0 without a special case
+        return -k * np.log1p(lam / m.beta), k / m.beta
+    if m.name != "landweber":
+        raise ValueError(f"unknown method {m.name!r}")
+    mu = m.mu_step
     if np.any(mu * lam > 1 + 1e-12):
         raise DomainError("landweber requires mu_step * lam <= 1")
-    k = iteration_count(alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # k log(1 - mu lam); -inf at mu lam = 1, nan there on the k = 0 slab
-        return k, k * np.log1p(-np.minimum(mu * lam, 1.0))
-
-
-def _r_dispatch(m: FilterMethod, alpha, lam: np.ndarray) -> np.ndarray:
-    if m.name == "tikhonov":
-        return alpha / (alpha + lam)
-    if m.name == "showalter":
-        return np.exp(-lam / alpha)
-    if m.name == "iterated_tikhonov":
-        return np.exp(-m.k * np.log1p(lam / alpha))
-    if m.name == "landweber":
-        k, expo = _landweber_bases(m, alpha, lam)
-        return np.where(k == 0, 1.0, np.exp(expo))
-    if m.name == "lardy":
-        # k = 0 gives exp(-0) = 1 without a special case
-        return np.exp(-iteration_count(alpha) * np.log1p(lam / m.beta))
-    if m.name == "modified_spectral_cutoff":
-        return np.maximum(1.0 - lam / (2 * alpha), 0.0)
-    raise ValueError(f"unknown method {m.name!r}")
-
-
-def _one_minus_r_over_lam(lam: np.ndarray, one_minus_r, limit_at_zero):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lam > 0, one_minus_r / lam, limit_at_zero)
-
-
-def _q_dispatch(m: FilterMethod, alpha, lam: np.ndarray) -> np.ndarray:
-    # every branch uses q = (1 - r)/lam with an expm1-accurate numerator,
-    # so the identity r + lam q = 1 holds to rounding
-    if m.name == "tikhonov":
-        return 1.0 / (alpha + lam)
-    if m.name == "showalter":
-        return _one_minus_r_over_lam(lam, -np.expm1(-lam / alpha), 1.0 / alpha)
-    if m.name == "iterated_tikhonov":
-        return _one_minus_r_over_lam(
-            lam, -np.expm1(-m.k * np.log1p(lam / alpha)), m.k / alpha
-        )
-    if m.name == "landweber":
-        k, expo = _landweber_bases(m, alpha, lam)
-        q = _one_minus_r_over_lam(lam, -np.expm1(expo), m.mu_step * k)
-        return np.where(k == 0, 0.0, q)
-    if m.name == "lardy":
-        # k = 0 gives (1 - 1)/lam = 0 and the limit 0 without a special case
-        k = iteration_count(alpha)
-        return _one_minus_r_over_lam(
-            lam, -np.expm1(-k * np.log1p(lam / m.beta)), k / m.beta
-        )
-    if m.name == "modified_spectral_cutoff":
-        # 1/lam is inf at lam = 0, where the minimum is the limit 1/(2 alpha)
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.minimum(1.0 / lam, 1.0 / (2 * alpha))
-    raise ValueError(f"unknown method {m.name!r}")
+        # -inf at mu lam = 1, nan there on the k = 0 slab, where -0 gives
+        # exactly r = 1 and q = +0
+        e = np.where(k == 0, -0.0, k * np.log1p(-np.minimum(mu * lam, 1.0)))
+    return e, mu * k
 
 
 # bytes of one (alpha block x lam) double temporary in alpha_table; below
@@ -237,7 +225,6 @@ def tikhonov() -> FilterMethod:
         c_low=0.5,
         c_diag=0.5,
         alpha_max=math.inf,
-        classical_qualification=1.0,
     )
 
 
@@ -248,7 +235,6 @@ def showalter() -> FilterMethod:
         c_low=math.exp(-1.0),
         c_diag=math.exp(-1.0),
         alpha_max=math.inf,
-        classical_qualification=math.inf,
     )
 
 
@@ -261,7 +247,6 @@ def iterated_tikhonov(k: int) -> FilterMethod:
         c_low=2.0**-k,
         c_diag=2.0**-k,
         alpha_max=math.inf,
-        classical_qualification=float(k),
         k=int(k),
     )
 
@@ -302,7 +287,6 @@ def landweber(
         c_low=c_low,
         c_diag=(1 - mu_step / (k_am + 1)) ** k_am,
         alpha_max=am,
-        classical_qualification=math.inf,
         mu_step=mu_step,
     )
 
@@ -327,7 +311,6 @@ def lardy(beta: float, alpha_max: float | None = None) -> FilterMethod:
         c_low=math.exp(-1.0 / beta),
         c_diag=c_diag,
         alpha_max=am,
-        classical_qualification=math.inf,
         beta=beta,
     )
 
@@ -339,7 +322,6 @@ def modified_spectral_cutoff() -> FilterMethod:
         c_low=0.5,
         c_diag=0.5,
         alpha_max=math.inf,
-        classical_qualification=math.inf,
     )
 
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .filters import _TABLE_BYTES, FilterMethod, _q_dispatch, alpha_table
+from .filters import _TABLE_BYTES, FilterMethod, alpha_table
 from .spectral import (
     DeterministicNoise,
     SpectralElement,
@@ -100,8 +100,8 @@ def propagation_norm(method: FilterMethod, alpha, op: SpectralOperator):
     root_lam = np.sqrt(lam)
 
     def row_max(a):
-        # the table was checked as a whole, so blocks go to the dispatch
-        q = _q_dispatch(method, a, lam)
+        # the table was checked as a whole, so blocks skip the checks
+        q = method._q(a, lam)
         q *= root_lam
         return np.max(np.abs(q, out=q), axis=1)
 

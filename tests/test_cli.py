@@ -221,6 +221,7 @@ def _log(**fields):
         ({"out_dir": 5}, "out_dir"),
         (b'{"name": "run-\xff"}', "utf-8"),
         ({"method": {"method": "iterated_tikhonov", "k": 10**400}}, "method.k"),
+        (b'{"name": "run-d", "seed": 1' + b"1" * 5000 + b"}", "4300 digits"),
     ],
     ids=[
         "not_json", "mu_step", "unknown_param", "tau", "N", "u", "deltas",
@@ -240,7 +241,7 @@ def _log(**fields):
         "a_huge", "replicates_huge", "n_probes_huge", "kappa_no_p",
         "kappa_shift_nan", "kappa_shift_huge", "element_s_nan",
         "problem_kind_list", "kappa_p_bool", "element_p_infinite", "out_dir_number",
-        "not_utf8", "k_beyond_double",
+        "not_utf8", "k_beyond_double", "int_beyond_digit_limit",
     ],
 )
 def test_run_bad_config_exits_two(tmp_path, capsys, over, field):
@@ -303,15 +304,20 @@ def test_check_filter_iterative_method(tmp_path, capsys):
         {"method": "landweber", "mu_step": 0.9, "op_norm_sq": "x"},
         {"method": "iterated_tikhonov", "k": 2.5},
         {"method": "iterated_tikhonov", "k": True},
+        b'{"method": "iterated_tikhonov", "k": 1' + b"1" * 5000 + b"}",
     ],
     ids=[
         "unknown_method", "string", "null", "list", "op_norm_sq_string",
         "op_norm_sq_null", "landweber_op_norm_sq_string", "k_fraction", "k_bool",
+        "int_beyond_digit_limit",
     ],
 )
 def test_check_filter_bad_spec(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(json.dumps(spec))
     assert main(["check-filter", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

@@ -152,7 +152,6 @@ class TestCertification:
             c_low=0.5,
             c_diag=0.5,
             alpha_max=math.inf,
-            classical_qualification=1.0,
         )
         alphas, lams = default_grids(bad)
         rep = check_assumption_sr(bad, alphas, lams)
@@ -242,6 +241,7 @@ class TestAlphaColumn:
         q = m.q(np.array([[2.0], [0.5]]), lams)
         np.testing.assert_array_equal(r[0], 1.0)
         np.testing.assert_array_equal(q[0], 0.0)
+        assert not np.signbit(q[0]).any()
         assert r[1, 0] == 1.0 and np.all(r[1, 1:] < 1.0)
         assert np.all(q[1] > 0.0)
 
